@@ -183,9 +183,8 @@ def play_many(jobs: Iterable[PlayJob], *, workers: int | None = None) -> list[Vo
     fork-inherited via :mod:`repro.simulate.fanout`, each worker job is
     just an index. Results come back in job order regardless of worker
     count. The pass is supervised (:mod:`repro.robust`): a crashed or
-    hung session is retried under ``REPRO_JOB_TIMEOUT_S`` /
-    ``REPRO_JOB_RETRIES`` and the pool degrades to serial execution
-    rather than losing the run.
+    hung session is retried (deadline ``REPRO_JOB_TIMEOUT_S``) and the
+    pool degrades to serial execution rather than losing the run.
 
     Args:
         jobs: ``(algorithm_factory, trace, feed, events)`` tuples.

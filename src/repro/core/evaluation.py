@@ -309,9 +309,9 @@ def run_prognos_over_logs(
     :func:`run_prognos_over_logs_reference`). The pool ships no logs:
     the corpus is fork-inherited via :mod:`repro.simulate.fanout` and
     each job carries only an index. The pass is supervised
-    (:mod:`repro.robust`): crashed or hung workers are retried under
-    ``REPRO_JOB_TIMEOUT_S``/``REPRO_JOB_RETRIES`` and the pool
-    degrades to serial execution rather than losing the run.
+    (:mod:`repro.robust`): crashed or hung workers are retried
+    (deadline ``REPRO_JOB_TIMEOUT_S``) and the pool degrades to serial
+    execution rather than losing the run.
 
     ``logs`` may be a :class:`~repro.simulate.corpus.CorpusView`:
     the plan stage then parks (store, drive_id) pointers instead of

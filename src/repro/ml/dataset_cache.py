@@ -14,19 +14,16 @@ bit-for-bit:
   constant silently invalidates stale entries instead of serving
   matrices produced by old code.
 
-It shares the :mod:`repro.simulate.cache` knobs: ``REPRO_CACHE_DIR``
-relocates the root (datasets live under a ``datasets/`` subdirectory
-next to drive logs and models), ``REPRO_NO_CACHE=1`` disables caching
-entirely. Entries are ``.npz`` archives — arrays round-trip losslessly
-and labels are stored by enum name.
+It is a :class:`~repro.simulate.cache.ContentCache` layer, so it shares
+the drive cache's knobs and self-healing: datasets live under a
+``datasets/`` subdirectory of the cache root. Entries are ``.npz``
+archives — arrays round-trip losslessly and labels are stored by enum
+name — whose member CRCs are checked on every hit.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import zipfile
+import io
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -34,10 +31,13 @@ import numpy as np
 
 from repro.ml.features import LabeledDataset
 from repro.rrc.taxonomy import HandoverType
-from repro.simulate.cache import atomic_publish, code_version_token
+from repro.simulate.cache import (
+    ContentCache,
+    checked_zip,
+    code_version_token,
+    content_key,
+)
 from repro.simulate.records import DriveLog
-
-_DEFAULT_ROOT = ".repro-cache"
 
 
 def log_content_digest(log) -> str:
@@ -63,107 +63,49 @@ def log_content_digest(log) -> str:
     return token
 
 
-class DatasetCache:
-    """Content-addressed store of derived feature datasets.
+class DatasetCache(ContentCache):
+    """Content-addressed store of derived feature datasets, as
+    ``datasets/<kind>-<key>.npz``."""
 
-    Entries live under ``root/datasets`` as ``<kind>-<key>.npz``.
-    Lookups on a disabled cache always miss; stores become no-ops.
-    Like the drive cache it is self-healing: failed writes degrade to
-    a counted no-op (``put_failures``) and undecodable entries are
-    quarantined to ``*.corrupt`` (``corrupt``) so they miss once.
-    """
-
-    def __init__(self, root: str | Path | None = None, *, enabled: bool | None = None):
-        if enabled is None:
-            enabled = os.environ.get("REPRO_NO_CACHE", "") != "1"
-        if root is None:
-            root = os.environ.get("REPRO_CACHE_DIR") or _DEFAULT_ROOT
-        self.root = Path(root) / "datasets"
-        self.enabled = enabled
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.put_failures = 0
-        self.corrupt = 0
+    namespace = "datasets"
 
     @staticmethod
     def key_for(kind: str, logs: Sequence[DriveLog], params: dict) -> str:
-        payload = json.dumps(
+        return content_key(
             {
                 "kind": kind,
                 "logs": [log_content_digest(log) for log in logs],
-                "params": {k: params[k] for k in sorted(params)},
+                "params": params,
                 "code_version": code_version_token(),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+            }
         )
-        return hashlib.sha256(payload.encode()).hexdigest()
 
     def _path(self, kind: str, key: str) -> Path:
         return self.root / f"{kind}-{key}.npz"
 
+    @staticmethod
+    def encode(dataset: LabeledDataset) -> bytes:
+        buffer = io.BytesIO()
+        np.savez_compressed(
+            buffer,
+            x=dataset.x,
+            times_s=dataset.times_s,
+            labels=np.array([label.name for label in dataset.labels]),
+        )
+        return buffer.getvalue()
+
+    @staticmethod
+    def decode(data: bytes) -> LabeledDataset:
+        with np.load(checked_zip(data), allow_pickle=False) as archive:
+            labels = [HandoverType[name] for name in archive["labels"].tolist()]
+            return LabeledDataset(archive["x"], labels, archive["times_s"])
+
     def get(self, kind: str, key: str) -> LabeledDataset | None:
         """The cached dataset, or None on a miss."""
-        if not self.enabled:
-            self.misses += 1
-            return None
-        path = self._path(kind, key)
-        if not path.exists():
-            self.misses += 1
-            return None
-        try:
-            with np.load(path, allow_pickle=False) as archive:
-                x = archive["x"]
-                times_s = archive["times_s"]
-                labels = [HandoverType[name] for name in archive["labels"].tolist()]
-        except (EOFError, KeyError, ValueError, zipfile.BadZipFile):
-            # Undecodable entry: miss, and quarantine it so the next
-            # lookup misses cheaply instead of re-parsing it forever.
-            self.corrupt += 1
-            try:
-                path.replace(path.with_name(path.name + ".corrupt"))
-            except OSError:
-                pass
-            self.misses += 1
-            return None
-        except OSError:
-            # Transient read failure: a plain miss.
-            self.misses += 1
-            return None
-        self.hits += 1
-        return LabeledDataset(x, labels, times_s)
+        return self.read(self._path(kind, key))
 
     def put(self, kind: str, key: str, dataset: LabeledDataset) -> None:
-        if not self.enabled:
-            return
-        path = self._path(kind, key)
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            with atomic_publish(path) as tmp:
-                with open(tmp, "wb") as fh:
-                    np.savez_compressed(
-                        fh,
-                        x=dataset.x,
-                        times_s=dataset.times_s,
-                        labels=np.array([label.name for label in dataset.labels]),
-                    )
-        except OSError:
-            # Full disk / read-only cache dir: degrade to a counted
-            # no-op, never abort the run that built the dataset.
-            self.put_failures += 1
-            return
-        self.stores += 1
-
-    @property
-    def stats(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "put_failures": self.put_failures,
-            "corrupt": self.corrupt,
-        }
+        self.write(self._path(kind, key), dataset)
 
 
 def build_cached(
@@ -181,10 +123,4 @@ def build_cached(
     """
     if cache is None:
         cache = DatasetCache()
-    key = cache.key_for(kind, logs, params)
-    dataset = cache.get(kind, key)
-    if dataset is not None:
-        return dataset
-    dataset = builder()
-    cache.put(kind, key, dataset)
-    return dataset
+    return cache.get_or_build(builder, kind, cache.key_for(kind, logs, params))

@@ -11,28 +11,25 @@ by a sha256 over everything that determines the fit bit-for-bit:
   invalidates stale entries instead of serving models produced by old
   code.
 
-It shares the :mod:`repro.simulate.cache` infrastructure and knobs:
-``REPRO_CACHE_DIR`` relocates the root (models live under a
-``models/`` subdirectory next to the drive logs), ``REPRO_NO_CACHE=1``
-disables it entirely. Entries are gzipped pickles — models are pure
-numpy containers produced by this package, not untrusted input.
+It is a :class:`~repro.simulate.cache.ContentCache` layer, so it shares
+the drive cache's knobs and self-healing: models live under a
+``models/`` subdirectory of the cache root. Entries are gzipped pickles
+— models are pure numpy containers produced by this package, not
+untrusted input — and a hit is decompressed whole, so gzip's CRC
+vouches for every byte unpickled.
 """
 
 from __future__ import annotations
 
 import gzip
 import hashlib
-import json
-import os
 import pickle
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from repro.simulate.cache import atomic_publish, code_version_token
-
-_DEFAULT_ROOT = ".repro-cache"
+from repro.simulate.cache import ContentCache, code_version_token, content_key
 
 
 def dataset_digest(x: np.ndarray, labels: list[object]) -> str:
@@ -47,101 +44,40 @@ def dataset_digest(x: np.ndarray, labels: list[object]) -> str:
     return digest.hexdigest()
 
 
-class ModelCache:
-    """Content-addressed store of fitted models.
+class ModelCache(ContentCache):
+    """Content-addressed store of fitted models, as ``models/<kind>-<key>.pkl.gz``."""
 
-    Entries live under ``root/models`` as ``<kind>-<key>.pkl.gz``.
-    Lookups on a disabled cache always miss; stores become no-ops.
-    Like the drive cache it is self-healing: failed writes degrade to
-    a counted no-op (``put_failures``) and undecodable entries are
-    quarantined to ``*.corrupt`` (``corrupt``) so they miss once.
-    """
-
-    def __init__(self, root: str | Path | None = None, *, enabled: bool | None = None):
-        if enabled is None:
-            enabled = os.environ.get("REPRO_NO_CACHE", "") != "1"
-        if root is None:
-            root = os.environ.get("REPRO_CACHE_DIR") or _DEFAULT_ROOT
-        self.root = Path(root) / "models"
-        self.enabled = enabled
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.put_failures = 0
-        self.corrupt = 0
+    namespace = "models"
 
     @staticmethod
     def key_for(kind: str, data_digest: str, params: dict) -> str:
-        payload = json.dumps(
+        return content_key(
             {
                 "kind": kind,
                 "data": data_digest,
-                "params": {k: params[k] for k in sorted(params)},
+                "params": params,
                 "code_version": code_version_token(),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+            }
         )
-        return hashlib.sha256(payload.encode()).hexdigest()
 
     def _path(self, kind: str, key: str) -> Path:
         return self.root / f"{kind}-{key}.pkl.gz"
 
+    @staticmethod
+    def encode(model) -> bytes:
+        data = pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL)
+        return gzip.compress(data, compresslevel=6)
+
+    @staticmethod
+    def decode(data: bytes):
+        return pickle.loads(gzip.decompress(data))
+
     def get(self, kind: str, key: str):
         """The cached model, or None on a miss."""
-        if not self.enabled:
-            self.misses += 1
-            return None
-        path = self._path(kind, key)
-        if not path.exists():
-            self.misses += 1
-            return None
-        try:
-            with gzip.open(path, "rb") as fh:
-                model = pickle.load(fh)
-        except (EOFError, pickle.UnpicklingError, gzip.BadGzipFile):
-            # Undecodable entry (BadGzipFile is an OSError subclass,
-            # so it must be caught before the transient clause): miss,
-            # and quarantine so the next lookup misses cheaply.
-            self.corrupt += 1
-            try:
-                path.replace(path.with_name(path.name + ".corrupt"))
-            except OSError:
-                pass
-            self.misses += 1
-            return None
-        except OSError:
-            # Transient read failure: a plain miss.
-            self.misses += 1
-            return None
-        self.hits += 1
-        return model
+        return self.read(self._path(kind, key))
 
     def put(self, kind: str, key: str, model) -> None:
-        if not self.enabled:
-            return
-        path = self._path(kind, key)
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            with atomic_publish(path) as tmp:
-                with gzip.open(tmp, "wb", compresslevel=6) as fh:
-                    pickle.dump(model, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        except OSError:
-            # Full disk / read-only cache dir: degrade to a counted
-            # no-op, never abort the run that fitted the model.
-            self.put_failures += 1
-            return
-        self.stores += 1
-
-    @property
-    def stats(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "put_failures": self.put_failures,
-            "corrupt": self.corrupt,
-        }
+        self.write(self._path(kind, key), model)
 
 
 def fit_cached(
@@ -161,9 +97,4 @@ def fit_cached(
     if cache is None:
         cache = ModelCache()
     key = cache.key_for(kind, dataset_digest(x, y), params)
-    model = cache.get(kind, key)
-    if model is not None:
-        return model
-    model = factory().fit(x, y)
-    cache.put(kind, key, model)
-    return model
+    return cache.get_or_build(lambda: factory().fit(x, y), kind, key)

@@ -2,14 +2,12 @@
 
 The benches each carried an ad-hoc ``_timed`` helper around
 ``time.perf_counter``. :class:`Timer` centralises that: named spans
-accumulate wall-clock seconds in :attr:`Timer.spans`, and setting
-``REPRO_PERF=1`` echoes every span as it closes, which makes a bench's
-internal phase breakdown visible without editing it.
+accumulate wall-clock seconds in :attr:`Timer.spans`, and ``echo=True``
+prints every span as it closes.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from contextlib import contextmanager
 from typing import Callable, Iterator, TypeVar
@@ -21,13 +19,10 @@ class Timer:
     """Collects named perf-counter spans.
 
     Args:
-        echo: print each span as it closes. None reads ``REPRO_PERF``
-            (``1`` enables echoing).
+        echo: print each span as it closes.
     """
 
-    def __init__(self, *, echo: bool | None = None):
-        if echo is None:
-            echo = os.environ.get("REPRO_PERF", "") == "1"
+    def __init__(self, *, echo: bool = False):
         self.echo = echo
         #: Accumulated seconds per span name (re-entering a name adds).
         self.spans: dict[str, float] = {}

@@ -15,7 +15,7 @@ This package supplies the two halves of that guarantee:
 * :mod:`repro.robust.supervisor` — :func:`~supervisor.supervised_map`
   wraps every pool pass with per-job timeouts
   (``REPRO_JOB_TIMEOUT_S``), bounded retries with deterministic
-  jittered backoff (``REPRO_JOB_RETRIES``), broken-pool recovery
+  jittered backoff, broken-pool recovery
   (rebuild, re-run only unfinished jobs, degrade to serial in-process
   execution after repeated pool deaths), and incremental result
   publication so completed jobs survive a later fault.
@@ -31,7 +31,6 @@ results to the unsupervised reference path
 from repro.robust import faults
 from repro.robust.supervisor import (
     RunStats,
-    job_retries,
     job_timeout_s,
     last_run_stats,
     supervised_map,
@@ -40,7 +39,6 @@ from repro.robust.supervisor import (
 __all__ = [
     "RunStats",
     "faults",
-    "job_retries",
     "job_timeout_s",
     "last_run_stats",
     "supervised_map",

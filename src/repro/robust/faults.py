@@ -68,6 +68,8 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro import settings
+
 ENV_VAR = "REPRO_FAULTS"
 
 #: Client-side network faults fired by the serving load generator.
@@ -91,8 +93,8 @@ _spec_fired: Counter["FaultSpec"] = Counter()
 _parsed: tuple[str, tuple["FaultSpec", ...]] | None = None
 
 #: (entry, reason) pairs already warned about in this process — the
-#: ``serve.env`` warn-once pattern, so re-parsing the same broken spec
-#: (a daemon re-reads it per session) does not spam the log.
+#: :mod:`repro.settings` warn-once pattern, so re-parsing the same broken
+#: spec (a daemon re-reads it per session) does not spam the log.
 _warned: set[tuple[str, str]] = set()
 
 
@@ -173,7 +175,7 @@ def parse_spec(raw: str) -> tuple[FaultSpec, ...]:
 def active_faults() -> tuple[FaultSpec, ...]:
     """The specs parsed from ``REPRO_FAULTS`` (re-parsed when it changes)."""
     global _parsed
-    raw = os.environ.get(ENV_VAR, "")
+    raw = settings.get(ENV_VAR)
     if _parsed is None or _parsed[0] != raw:
         _parsed = (raw, parse_spec(raw) if raw else ())
     return _parsed[1]

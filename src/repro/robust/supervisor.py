@@ -10,7 +10,7 @@ and adds the supervision a production corpus run needs:
   submissions get ``timeout × len(chunk)``; once a pool has misbehaved
   the supervisor resubmits with chunk size 1, so a hung job is isolated
   and timed out individually.
-* **Bounded retries** (``REPRO_JOB_RETRIES``, default 2) with
+* **Bounded retries** (``retries``, default :data:`JOB_RETRIES`) with
   deterministic jittered backoff between recovery rounds — reruns are
   reproducible, and two supervisors sharing a host don't retry in
   lockstep.
@@ -47,12 +47,12 @@ import multiprocessing
 import os
 import signal
 import time
-import warnings
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
+from repro import settings
 from repro.robust import faults
 from repro.simulate import fanout
 
@@ -61,6 +61,9 @@ MAX_POOL_REBUILDS = 2
 
 #: Base backoff unit between recovery rounds, seconds.
 BACKOFF_BASE_S = 0.05
+
+#: Default retry budget per job before it degrades to serial execution.
+JOB_RETRIES = 2
 
 
 @dataclass
@@ -84,30 +87,9 @@ def last_run_stats() -> RunStats | None:
     return _last_run_stats
 
 
-def _env_number(name: str, default: float, cast: Callable[[str], float]) -> float:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return default
-    try:
-        return cast(raw)
-    except ValueError:
-        warnings.warn(
-            f"{name}={raw!r} is not a number; using the default {default}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return default
-
-
 def job_timeout_s() -> float | None:
-    """Per-job timeout from ``REPRO_JOB_TIMEOUT_S`` (<= 0 disables)."""
-    value = _env_number("REPRO_JOB_TIMEOUT_S", 0.0, float)
-    return value if value > 0 else None
-
-
-def job_retries() -> int:
-    """Retry budget per job from ``REPRO_JOB_RETRIES`` (default 2)."""
-    return max(0, int(_env_number("REPRO_JOB_RETRIES", 2, int)))
+    """Per-job timeout from ``REPRO_JOB_TIMEOUT_S`` (0 disables)."""
+    return settings.get("REPRO_JOB_TIMEOUT_S") or None
 
 
 def backoff_s(round_no: int, salt: object = "") -> float:
@@ -334,7 +316,7 @@ def supervised_map(
     fallback_jobs: Sequence[Any],
     on_result: Callable[[int, Any], None] | None = None,
     timeout_s: float | None | str = "env",
-    retries: int | None = None,
+    retries: int = JOB_RETRIES,
 ) -> list[Any]:
     """Map ``count`` jobs over a supervised process pool.
 
@@ -342,19 +324,15 @@ def supervised_map(
     same zero-copy fork-inherited payload and pickle fallback, same
     input-order results, plus supervision. ``on_result`` receives
     ``(index, result)`` in the parent as each job first completes.
-    ``timeout_s``/``retries`` default to the ``REPRO_JOB_TIMEOUT_S`` /
-    ``REPRO_JOB_RETRIES`` env knobs.
+    ``timeout_s`` defaults to the ``REPRO_JOB_TIMEOUT_S`` env knob.
     """
     global _last_run_stats
     workers = max(1, min(workers, count))
     timeout = job_timeout_s() if timeout_s == "env" else timeout_s
-    if retries is None:
-        retries = job_retries()
     stats = RunStats(jobs=count)
     _last_run_stats = stats
 
-    force_spawn = os.environ.get("REPRO_FORCE_SPAWN", "") == "1"
-    ctx = None if force_spawn else fanout.fork_context()
+    ctx = None if fanout.force_spawn() else fanout.fork_context()
     if ctx is not None:
         stats.start_method = "fork"
         with fanout.shared_payload(payload_value) as token:

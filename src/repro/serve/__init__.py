@@ -24,13 +24,11 @@ sessions/sec and per-tick latency percentiles for the bench
 (``benchmarks/bench_serving.py`` → ``BENCH_serving.json``).
 """
 
-from repro.serve.batcher import BatchTuning
 from repro.serve.protocol import FrameDecoder, FrameError, MAX_FRAME
 from repro.serve.server import PrognosServer, ServerConfig
 from repro.serve.shard import ShardedPrognosServer, make_server
 
 __all__ = [
-    "BatchTuning",
     "FrameDecoder",
     "FrameError",
     "MAX_FRAME",

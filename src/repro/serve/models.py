@@ -49,15 +49,12 @@ def cached_bootstrap_patterns(
         digest.update(b"\0")
         resolved.append(log)
     key = ModelCache.key_for(_KIND, digest.hexdigest(), {"per_type": per_type})
-    patterns = cache.get(_KIND, key)
-    if patterns is not None:
-        return patterns
-    mined = frequent_patterns_from_logs(
-        [
+
+    def mine() -> dict[Pattern, int]:
+        drives = [
             log.to_drive_log() if isinstance(log, ColumnarLog) else log
             for log in resolved
-        ],
-        per_type=per_type,
-    )
-    cache.put(_KIND, key, mined)
-    return mined
+        ]
+        return frequent_patterns_from_logs(drives, per_type=per_type)
+
+    return cache.get_or_build(mine, _KIND, key)

@@ -29,7 +29,7 @@ Resilience (see DESIGN.md §6d for the full ladder):
 * **Resumable sessions** — session state lives in a
   :class:`~repro.serve.session.SessionState` that outlives the TCP
   connection. Every prediction is journalled (framed bytes, bounded by
-  ``REPRO_SERVE_REPLAY``, counted overflow); an unclean disconnect
+  ``ServerConfig.replay``, counted overflow); an unclean disconnect
   parks the state instead of destroying it, and a client reconnecting
   with ``resume {token, last_seq}`` gets the missed tail replayed
   bit-identically. Under a shard controller, parked states are
@@ -39,12 +39,12 @@ Resilience (see DESIGN.md §6d for the full ladder):
   ``REPRO_SERVE_HEARTBEAT_S``, evicts dead peers at twice that, and
   expires parked sessions at four times (reasons surfaced in the bye
   and in stats).
-* **Admission control** — past ``REPRO_SERVE_MAX_SESSIONS`` (or a
+* **Admission control** — past ``ServerConfig.max_sessions`` (or a
   configured backlog ceiling) new hellos are shed with a JSON ``busy``
   carrying ``retry_after`` instead of degrading every session; resumes
   are exempt (their session is already accounted).
 * **Graceful drain** — :meth:`PrognosServer.drain` stops accepting,
-  lets in-flight ticks finish within ``REPRO_SERVE_DRAIN_S``, sends
+  lets in-flight ticks finish within ``ServerConfig.drain_s``, sends
   every client a bye carrying its resume token, then closes; parked
   state survives for the successor to adopt.
 
@@ -65,14 +65,14 @@ import pickle
 import secrets
 import socket
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from repro import settings
 from repro.apps.abr.algorithms import mpc_select_many
 from repro.core.patterns import Pattern
 from repro.core.prognos import PrognosConfig
 from repro.serve import protocol
-from repro.serve.batcher import BatchCollector, BatchTuning
-from repro.serve.env import env_float, env_int
+from repro.serve.batcher import BatchCollector
 from repro.serve.protocol import FrameError, frame, read_frame
 from repro.serve.forecast import forecast_batch
 from repro.serve.session import ServingSession, SessionState
@@ -95,7 +95,6 @@ class ServerConfig:
     port: int = 0
     #: Micro-batched engine vs inline per-session sequential serving.
     batched: bool = True
-    tuning: BatchTuning = field(default_factory=BatchTuning.from_env)
     #: Max unanswered ticks per session before its reader stops reading.
     inbox_limit: int = 64
     #: Max queued predictions per slow session before the policy bites.
@@ -119,20 +118,17 @@ class ServerConfig:
     #: (inline-sequential). Per shard, on top of the per-process engine
     #: ladder above.
     shard_restarts: int = 2
-    #: Replay journal depth per session. ``None`` reads
-    #: ``REPRO_SERVE_REPLAY`` (default 512); 0 disables resumption.
-    replay: int | None = None
+    #: Replay journal depth per session; 0 disables resumption.
+    replay: int = 512
     #: Heartbeat interval. ``None`` reads ``REPRO_SERVE_HEARTBEAT_S``
     #: (default 30); 0 disables the liveness sweeper entirely.
     heartbeat_s: float | None = None
-    #: Admission ceiling on concurrent sessions (live + parked).
-    #: ``None`` reads ``REPRO_SERVE_MAX_SESSIONS`` (default 0 = off).
-    max_sessions: int | None = None
+    #: Admission ceiling on concurrent sessions (live + parked); 0 = off.
+    max_sessions: int = 0
     #: Shed new hellos when total unanswered ticks reach this (0 = off).
     shed_backlog: int = 0
-    #: Drain deadline. ``None`` reads ``REPRO_SERVE_DRAIN_S``
-    #: (default 5).
-    drain_s: float | None = None
+    #: Drain deadline, seconds.
+    drain_s: float = 5.0
     prognos_config: PrognosConfig | None = None
     #: Offline-mined patterns every new session warm-starts from.
     bootstrap: dict[Pattern, int] | None = None
@@ -226,25 +222,10 @@ class PrognosServer:
         self.shard_id = shard_id
         self.generation = generation
         cfg = self.config
-        self.replay_limit = (
-            cfg.replay
-            if cfg.replay is not None
-            else env_int("REPRO_SERVE_REPLAY", 512, minimum=0)
-        )
         self.heartbeat_s = (
             cfg.heartbeat_s
             if cfg.heartbeat_s is not None
-            else env_float("REPRO_SERVE_HEARTBEAT_S", 30.0, minimum=0.0)
-        )
-        self.max_sessions = (
-            cfg.max_sessions
-            if cfg.max_sessions is not None
-            else env_int("REPRO_SERVE_MAX_SESSIONS", 0, minimum=0)
-        )
-        self.drain_s = (
-            cfg.drain_s
-            if cfg.drain_s is not None
-            else env_float("REPRO_SERVE_DRAIN_S", 5.0, minimum=0.0)
+            else settings.get("REPRO_SERVE_HEARTBEAT_S")
         )
         #: Live and parked sessions, keyed by session id. A state with
         #: ``conn is None`` is parked, awaiting resume or eviction.
@@ -296,7 +277,7 @@ class PrognosServer:
     async def start_engine(self) -> None:
         """Arm the engine without a TCP listener (fd-handoff shards)."""
         self._running = True
-        self._collector = BatchCollector(self.config.tuning)
+        self._collector = BatchCollector()
         if self.config.batched:
             self._engine_task = asyncio.create_task(self._engine_supervisor())
         if self.heartbeat_s > 0:
@@ -340,7 +321,7 @@ class PrognosServer:
     async def drain(self, deadline_s: float | None = None) -> None:
         """Graceful drain: stop accepting, flush, bye with resume tokens.
 
-        In-flight ticks get until the deadline (``REPRO_SERVE_DRAIN_S``
+        In-flight ticks get until the deadline (``ServerConfig.drain_s``
         unless overridden) to finish and flush; then every attached
         client receives a JSON bye with ``reason: "drain"`` and its
         resume token, and the connection is closed with a FIN. Parked
@@ -355,7 +336,9 @@ class PrognosServer:
             with contextlib.suppress(Exception):
                 await self._server.wait_closed()
         loop = asyncio.get_running_loop()
-        deadline = loop.time() + (self.drain_s if deadline_s is None else deadline_s)
+        deadline = loop.time() + (
+            self.config.drain_s if deadline_s is None else deadline_s
+        )
         while loop.time() < deadline:
             states = list(self._sessions.values())
             busy = any(s.pending for s in states) or any(
@@ -527,7 +510,7 @@ class PrognosServer:
 
     def _admission_delay(self, *, replacing: bool = False) -> float | None:
         """Seconds for the client to back off, or None to admit."""
-        limit = self.max_sessions
+        limit = self.config.max_sessions
         count = len(self._sessions) - (1 if replacing else 0)
         if limit and count >= limit:
             return round(min(2.0, 0.05 * (count - limit + 1) + 0.05), 3)
@@ -622,7 +605,7 @@ class PrognosServer:
             session,
             token=secrets.token_hex(16),
             policy=policy,
-            replay_limit=self.replay_limit,
+            replay_limit=self.config.replay,
         )
         conn = _Connection(state, reader, writer, policy, self.config.outbox_limit)
         conn.last_in_at = asyncio.get_running_loop().time()

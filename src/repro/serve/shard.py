@@ -15,7 +15,7 @@ the :mod:`repro.simulate.fanout` registry: nothing is serialized per
 shard, and a respawned shard re-inherits the same objects because the
 controller still holds them.
 
-**Routing** (``ServerConfig.routing`` / ``REPRO_SERVE_ROUTING``):
+**Routing** (``ServerConfig.routing``):
 
 * ``reuseport`` — every shard opens its own listener on the shared
   port with ``SO_REUSEPORT``; the kernel distributes connections and
@@ -79,9 +79,9 @@ from collections import OrderedDict
 from dataclasses import replace
 from functools import partial
 
+from repro import settings
 from repro.robust.supervisor import backoff_s, reap_process
 from repro.serve import protocol
-from repro.serve.env import env_choice, env_int
 from repro.serve.server import MAX_EXPORT, PrognosServer, ServerConfig
 
 #: Largest handshake frame the controller will hand off (a hello is
@@ -114,10 +114,9 @@ def serve_shards() -> int:
 
     Defaults to ``cpu_count() - 1`` (one core stays with the
     controller/OS); malformed or non-positive values warn once and fall
-    back to that default (:mod:`repro.serve.env`).
+    back to that default (:mod:`repro.settings`).
     """
-    default = max(1, (os.cpu_count() or 2) - 1)
-    return env_int("REPRO_SERVE_SHARDS", default, minimum=1)
+    return settings.get("REPRO_SERVE_SHARDS")
 
 
 def resolve_shards(config: ServerConfig) -> int:
@@ -142,8 +141,6 @@ def resolve_routing(config: ServerConfig) -> str:
     mode = (config.routing or "auto").strip().lower()
     if mode not in ROUTING_MODES:
         raise ValueError(f"unknown routing mode {config.routing!r}")
-    if mode == "auto":
-        mode = env_choice("REPRO_SERVE_ROUTING", "auto", ROUTING_MODES)
     if mode == "auto":
         mode = "reuseport" if reuseport_available() else "handoff"
     if mode == "reuseport" and not reuseport_available():

@@ -1,9 +1,16 @@
-"""On-disk corpus cache: content-addressed DriveLog storage.
+"""On-disk content-addressed caches: drive logs, and the machinery the
+dataset and model caches share.
 
-Rebuilding the benchmark corpus dominates iteration time — every bench
-session re-simulated every drive from scratch. This module caches each
-:class:`~repro.simulate.records.DriveLog` on disk, keyed by a sha256
-over everything that determines the log bit-for-bit:
+:class:`ContentCache` is the one implementation of an on-disk cache
+layer: root and enable resolution, the hit/miss/store/put-failure/
+corrupt counters, a CRC-checked read that quarantines entries that do
+not decode, an atomic write that degrades to a counted no-op, and the
+get-or-build step. A layer adds only a key, a path and a codec:
+:class:`DriveCache` here, :class:`~repro.ml.dataset_cache.DatasetCache`
+and :class:`~repro.ml.model_cache.ModelCache` beside their consumers.
+
+:class:`DriveCache` keys each :class:`~repro.simulate.records.DriveLog`
+by a sha256 over everything that determines the log bit-for-bit:
 
 * the scenario's name and seed,
 * every :class:`SimulationConfig` knob,
@@ -15,24 +22,20 @@ over everything that determines the log bit-for-bit:
   so editing the simulator silently invalidates stale entries instead
   of serving logs produced by old code.
 
-Environment knobs:
-
-* ``REPRO_CACHE_DIR`` relocates the cache root (default
-  ``./.repro-cache``).
-* ``REPRO_NO_CACHE=1`` disables the cache entirely (every lookup
-  misses, nothing is written).
-* ``REPRO_CORPUS_DIR`` attaches a :class:`~repro.simulate.corpus.
-  CorpusStore` at that path: lookups serve memory-mapped slices from
-  the sharded corpus (falling back to — and migrating — per-drive
-  ``.npz`` entries), and stores append to the corpus instead of
-  writing ``.npz`` files.
+Environment knobs (:mod:`repro.settings`): ``REPRO_CACHE_DIR`` relocates
+the cache root (default ``./.repro-cache``), ``REPRO_NO_CACHE=1``
+disables every layer (lookups miss, stores are no-ops), and
+``REPRO_CORPUS_DIR`` attaches a :class:`~repro.simulate.corpus.
+CorpusStore` to default-constructed drive caches.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import enum
 import hashlib
+import io
 import json
 import os
 import secrets
@@ -44,12 +47,12 @@ from typing import Iterator
 import numpy as np
 
 import repro
+from repro import settings
 from repro.robust import faults
 from repro.simulate.columnar import ColumnarLog, load_columnar, save_columnar
 from repro.simulate.records import DriveLog
 from repro.simulate.scenarios import Scenario
 
-_DEFAULT_ROOT = ".repro-cache"
 _code_version_token: str | None = None
 
 
@@ -150,7 +153,114 @@ def scenario_fingerprint(scenario: Scenario) -> dict:
     }
 
 
-class DriveCache:
+def content_key(payload: dict) -> str:
+    """sha256 over ``payload`` as canonical JSON."""
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def checked_zip(data: bytes) -> io.BytesIO:
+    """``data`` as a file, once every member of the zip archive passes its CRC."""
+    with zipfile.ZipFile(io.BytesIO(data)) as archive:
+        bad = archive.testzip()
+    if bad is not None:
+        raise zipfile.BadZipFile(f"CRC mismatch in member {bad!r}")
+    return io.BytesIO(data)
+
+
+class ContentCache:
+    """One on-disk cache layer: counters, CRC-checked reads, atomic writes.
+
+    Entries live under ``root/namespace``. A subclass supplies the key,
+    the path, ``get``/``put`` over :meth:`read`/:meth:`write`, and the
+    codec: ``encode(value) -> bytes`` and ``decode(bytes) -> value``.
+    Lookups on a disabled cache always miss; stores become no-ops.
+
+    The layer is self-healing. A store that fails with ``OSError``
+    (disk full, read-only ``REPRO_CACHE_DIR``) is counted in
+    ``put_failures`` and otherwise ignored: a run never aborts because
+    its cache is sick. A read loads the whole entry and decodes it in
+    memory, checksums included, so an entry either decodes to exactly
+    what was stored or is corrupt; a corrupt entry is quarantined
+    (renamed ``<entry>.corrupt``, counted in ``corrupt``) so it misses
+    once, not on every lookup. A failed read of the file itself is a
+    plain miss: the entry may be readable next time.
+    """
+
+    #: Subdirectory of the cache root holding this layer's entries.
+    namespace = ""
+
+    def __init__(self, root: str | Path | None = None, *, enabled: bool | None = None):
+        if enabled is None:
+            enabled = not settings.get("REPRO_NO_CACHE")
+        if root is None:
+            root = settings.get("REPRO_CACHE_DIR")
+        self.root = Path(root) / self.namespace
+        self.enabled = enabled
+        self.hits = 0
+        self.misses = 0
+        self.stores = 0
+        self.put_failures = 0
+        self.corrupt = 0
+
+    def read(self, path: Path):
+        """The decoded entry at ``path``, or None on a (counted) miss."""
+        if not self.enabled:
+            self.misses += 1
+            return None
+        try:
+            data = path.read_bytes()
+        except OSError:
+            self.misses += 1
+            return None
+        try:
+            value = self.decode(data)
+        except Exception:
+            # Decoding in-memory bytes does no I/O, so whatever a damaged
+            # header or stream raised (zlib, zip, gzip, numpy, pickle
+            # errors), these bytes will never decode. The run goes on;
+            # the counter and the kept .corrupt file report it.
+            self.corrupt += 1
+            with contextlib.suppress(OSError):
+                path.replace(path.with_name(path.name + ".corrupt"))
+            self.misses += 1
+            return None
+        self.hits += 1
+        return value
+
+    def write(self, path: Path, value) -> None:
+        """Publish ``value`` at ``path``; failures are counted, not raised."""
+        if not self.enabled:
+            return
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+            with atomic_publish(path) as tmp:
+                tmp.write_bytes(self.encode(value))
+        except OSError:
+            self.put_failures += 1
+            return
+        self.stores += 1
+
+    def get_or_build(self, build, *address):
+        """``get(*address)``, or on a miss ``build()`` stored there."""
+        value = self.get(*address)
+        if value is None:
+            value = build()
+            self.put(*address, value)
+        return value
+
+    @property
+    def stats(self) -> dict[str, int]:
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "stores": self.stores,
+            "put_failures": self.put_failures,
+            "corrupt": self.corrupt,
+        }
+
+
+class DriveCache(ContentCache):
     """Content-addressed store of simulated drive logs.
 
     Entries live under ``root`` as ``<key>.npz`` — the packed columnar
@@ -158,14 +268,6 @@ class DriveCache:
     :meth:`key_for` of the scenario. Hits materialise columnar-backed
     logs, so their memoized per-log series are views over the loaded
     arrays and re-packing (for digests or further stores) is free.
-    Lookups on a disabled cache always miss; stores become no-ops.
-
-    The cache is self-healing: a store that fails with ``OSError``
-    (disk full, read-only ``REPRO_CACHE_DIR``) is counted in
-    ``put_failures`` and otherwise ignored — a corpus run never aborts
-    because its cache is sick — and an entry that fails to decode is
-    quarantined (renamed ``<key>.npz.corrupt``, counted in
-    ``corrupt``) so it misses once, not on every lookup.
 
     When a :class:`~repro.simulate.corpus.CorpusStore` is attached
     (``store=`` explicitly, or by default whenever ``REPRO_CORPUS_DIR``
@@ -185,32 +287,29 @@ class DriveCache:
         enabled: bool | None = None,
         store: "object | None" = "env",
     ):
-        if enabled is None:
-            enabled = os.environ.get("REPRO_NO_CACHE", "") != "1"
-        if root is None:
-            root = os.environ.get("REPRO_CACHE_DIR") or _DEFAULT_ROOT
+        super().__init__(root, enabled=enabled)
         if store == "env":
             from repro.simulate.corpus import CorpusStore
 
             store = CorpusStore.from_env()
-        self.root = Path(root)
-        self.enabled = enabled
         self.store = store
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.put_failures = 0
-        self.corrupt = 0
 
     @staticmethod
     def key_for(scenario: Scenario) -> str:
-        payload = json.dumps(
-            scenario_fingerprint(scenario), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()
+        return content_key(scenario_fingerprint(scenario))
 
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.npz"
+
+    @staticmethod
+    def encode(clog: ColumnarLog) -> bytes:
+        buffer = io.BytesIO()
+        save_columnar(clog, buffer)
+        return buffer.getvalue()
+
+    @staticmethod
+    def decode(data: bytes) -> ColumnarLog:
+        return load_columnar(checked_zip(data))
 
     def get(self, scenario: Scenario) -> DriveLog | None:
         """The cached log for ``scenario``, or None on a miss."""
@@ -235,75 +334,28 @@ class DriveCache:
             if clog is not None:
                 self.hits += 1
                 return clog
-        path = self._path(key)
-        if not path.exists():
-            self.misses += 1
-            return None
-        try:
-            clog = load_columnar(path)
-        except (EOFError, ValueError, KeyError, zipfile.BadZipFile):
-            # A truncated or stale-format entry is a miss, not an
-            # error — and it will never decode, so quarantine it:
-            # rename to ``<key>.npz.corrupt`` (best-effort) so the next
-            # lookup misses cheaply instead of re-parsing a known-bad
-            # file forever.
-            self._quarantine(path)
-            self.misses += 1
-            return None
-        except OSError:
-            # Transient read failure: a plain miss, the entry may be
-            # readable next time.
-            self.misses += 1
-            return None
-        if self.store is not None:
+        clog = self.read(self._path(key))
+        if clog is not None and self.store is not None:
             # Best-effort migration: next lookup maps from the corpus
             # instead of decompressing this .npz again.
             self.store.append(key, clog)
-        self.hits += 1
         return clog
-
-    def _quarantine(self, path: Path) -> None:
-        self.corrupt += 1
-        try:
-            path.replace(path.with_name(path.name + ".corrupt"))
-        except OSError:
-            pass
 
     def put(self, scenario: Scenario, log: DriveLog) -> None:
         """Store ``log`` under the scenario's content key.
 
-        Write failures (disk full, read-only cache dir) degrade to a
-        counted no-op — the caller keeps its in-memory log either way.
         With a corpus store attached the log is appended to the sharded
         corpus instead (same exactly-once, same degradation: a failed
         append counts here as a ``put_failure``).
         """
         if not self.enabled:
             return
-        if self.store is not None:
-            failures_before = self.store.put_failures
-            if self.store.append(self.key_for(scenario), log.columnar()):
-                self.stores += 1
-            elif self.store.put_failures > failures_before:
-                self.put_failures += 1
+        key = self.key_for(scenario)
+        if self.store is None:
+            self.write(self._path(key), log.columnar())
             return
-        path = self._path(self.key_for(scenario))
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            with atomic_publish(path) as tmp:
-                with open(tmp, "wb") as handle:
-                    save_columnar(log.columnar(), handle)
-        except OSError:
+        failures_before = self.store.put_failures
+        if self.store.append(key, log.columnar()):
+            self.stores += 1
+        elif self.store.put_failures > failures_before:
             self.put_failures += 1
-            return
-        self.stores += 1
-
-    @property
-    def stats(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "put_failures": self.put_failures,
-            "corrupt": self.corrupt,
-        }

@@ -41,15 +41,13 @@ its drives become misses — while a shard written by a different
 (``OSError``, injected ``cache_write_oserror``) is a counted no-op;
 the drive simply stays missing.
 
-Environment knobs:
-
-* ``REPRO_CORPUS_DIR`` — store root. When set, a default-constructed
-  :class:`~repro.simulate.cache.DriveCache` attaches the store and
-  delegates to it (see :meth:`CorpusStore.from_env`); unset, explicit
-  construction defaults to ``<cache root>/corpus``.
-* ``REPRO_CORPUS_SHARD_MB`` — target shard size before rolling to a
-  new shard (default 64 MiB).
-* ``REPRO_NO_CACHE=1`` disables the store like every other cache layer.
+Environment knobs (:mod:`repro.settings`): ``REPRO_CORPUS_DIR`` is the
+store root. When set, a default-constructed
+:class:`~repro.simulate.cache.DriveCache` attaches the store and
+delegates to it (see :meth:`CorpusStore.from_env`); unset, explicit
+construction defaults to ``<cache root>/corpus``. ``REPRO_NO_CACHE=1``
+disables the store like every other cache layer. Shards roll over at
+``shard_mb`` (default 64 MiB).
 
 The store is single-writer, many-reader: generation publishes from one
 parent process (``run_drives``' supervised ``on_result`` hook), while
@@ -69,6 +67,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from repro import settings
 from repro.net.bearer import BearerMode
 from repro.simulate.columnar import ARRAY_KEYS, ColumnarLog
 from repro.simulate.serialization import FORMAT_VERSION
@@ -77,25 +76,12 @@ from repro.simulate.serialization import FORMAT_VERSION
 #: a cache-line boundary regardless of the preceding arrays' dtypes.
 _ALIGN = 64
 
-_DEFAULT_SHARD_MB = 64.0
-
 
 def _default_root() -> Path:
-    env = os.environ.get("REPRO_CORPUS_DIR")
-    if env:
-        return Path(env)
-    cache_root = os.environ.get("REPRO_CACHE_DIR") or ".repro-cache"
-    return Path(cache_root) / "corpus"
-
-
-def _shard_limit_bytes(shard_mb: float | None) -> int:
-    if shard_mb is None:
-        raw = os.environ.get("REPRO_CORPUS_SHARD_MB", "")
-        try:
-            shard_mb = float(raw) if raw else _DEFAULT_SHARD_MB
-        except ValueError:
-            shard_mb = _DEFAULT_SHARD_MB
-    return max(1, int(shard_mb * 1024 * 1024))
+    return Path(
+        settings.get("REPRO_CORPUS_DIR")
+        or Path(settings.get("REPRO_CACHE_DIR")) / "corpus"
+    )
 
 
 def _encode_payload(clog: ColumnarLog) -> tuple[bytes, dict]:
@@ -134,14 +120,14 @@ class CorpusStore:
         self,
         root: str | Path | None = None,
         *,
-        shard_mb: float | None = None,
+        shard_mb: float = 64.0,
         enabled: bool | None = None,
     ):
         if enabled is None:
-            enabled = os.environ.get("REPRO_NO_CACHE", "") != "1"
+            enabled = not settings.get("REPRO_NO_CACHE")
         self.root = Path(root) if root is not None else _default_root()
         self.enabled = enabled
-        self.shard_limit = _shard_limit_bytes(shard_mb)
+        self.shard_limit = max(1, int(shard_mb * 1024 * 1024))
         self.hits = 0
         self.misses = 0
         self.appends = 0
@@ -161,7 +147,7 @@ class CorpusStore:
     @classmethod
     def from_env(cls) -> "CorpusStore | None":
         """The store named by ``REPRO_CORPUS_DIR``, or None when unset."""
-        if not os.environ.get("REPRO_CORPUS_DIR"):
+        if not settings.get("REPRO_CORPUS_DIR"):
             return None
         return cls()
 

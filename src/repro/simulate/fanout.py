@@ -49,10 +49,11 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
-import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Sequence
+
+from repro import settings
 
 #: Fork-inherited payload slots, keyed by token. Only ever mutated in
 #: the parent *before* pool creation; children see a frozen snapshot.
@@ -86,7 +87,7 @@ def fork_context():
 
 def force_spawn() -> bool:
     """True when ``REPRO_FORCE_SPAWN=1`` demands the pickle fallback."""
-    return os.environ.get("REPRO_FORCE_SPAWN", "") == "1"
+    return settings.get("REPRO_FORCE_SPAWN")
 
 
 def pool_chunksize(jobs: int, workers: int) -> int:

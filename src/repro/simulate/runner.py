@@ -35,10 +35,9 @@ cache has a corpus store attached, i.e. ``REPRO_CORPUS_DIR`` is set.)
 
 from __future__ import annotations
 
-import os
-import warnings
 from typing import Sequence
 
+from repro import settings
 from repro.simulate import fanout
 from repro.simulate.cache import DriveCache
 from repro.simulate.corpus import CorpusStore, CorpusView
@@ -48,17 +47,7 @@ from repro.simulate.scenarios import Scenario
 
 def default_workers() -> int:
     """Worker count from ``REPRO_BENCH_WORKERS`` (default 1 = serial)."""
-    raw = os.environ.get("REPRO_BENCH_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        warnings.warn(
-            f"REPRO_BENCH_WORKERS={raw!r} is not an integer; "
-            "falling back to 1 worker (serial)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return 1
+    return settings.get("REPRO_BENCH_WORKERS")
 
 
 def _run_one(scenario: Scenario) -> DriveLog:
@@ -161,8 +150,7 @@ def run_drives_to_store(
         workers: process count for the misses. None reads
             ``REPRO_BENCH_WORKERS``; 0/1 runs serially in-process.
         store: the corpus store to fill. None uses the cache's attached
-            store, or the default (``REPRO_CORPUS_DIR`` /
-            ``REPRO_CORPUS_SHARD_MB`` aware).
+            store, or the default (``REPRO_CORPUS_DIR`` aware).
         cache: a per-drive cache to consult for migration. None
             constructs the default bound to ``store``.
         use_cache: False skips the per-drive cache consult (the corpus

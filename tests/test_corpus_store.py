@@ -121,10 +121,8 @@ class TestRoundTrip:
 
     def test_env_knobs(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CORPUS_DIR", str(tmp_path / "corpus"))
-        monkeypatch.setenv("REPRO_CORPUS_SHARD_MB", "7")
         store = CorpusStore.from_env()
         assert store.root == tmp_path / "corpus"
-        assert store.shard_limit == 7 * 1024 * 1024
         monkeypatch.delenv("REPRO_CORPUS_DIR")
         assert CorpusStore.from_env() is None
         # Explicit construction without the env var lands next to the

@@ -310,13 +310,3 @@ class TestTimer:
         assert value == 42
         assert elapsed >= 0.0
         assert timer["calc"] == elapsed
-
-    def test_echo_follows_env(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_PERF", "1")
-        with Timer().span("loud"):
-            pass
-        assert "[perf] loud" in capsys.readouterr().out
-        monkeypatch.setenv("REPRO_PERF", "0")
-        with Timer().span("quiet"):
-            pass
-        assert capsys.readouterr().out == ""

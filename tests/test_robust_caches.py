@@ -171,3 +171,75 @@ class TestModelCache:
         _truncate(path)
         assert cache.get("gbc", "k" * 8) is None
         assert cache.stats["corrupt"] == 1
+
+
+# ---------------------------------------------------------------------------
+# Integrity: a bit-flipped entry is served intact or missed, never altered
+# ---------------------------------------------------------------------------
+
+#: Single-bit flips per entry, spread evenly from the first to the last byte.
+FLIPS = 48
+
+
+def _stored_entry(kind, tmp_path, scenario, drive_log):
+    """(cache, entry path, lookup, equals-the-stored-content predicate)."""
+    rng = np.random.default_rng(7)
+    if kind == "drive":
+        cache = DriveCache(tmp_path, store=None)
+        cache.put(scenario, drive_log)
+        want = drive_log.columnar().content_digest()
+        return (
+            cache,
+            cache._path(cache.key_for(scenario)),
+            lambda: cache.get(scenario),
+            lambda got: got.columnar().content_digest() == want,
+        )
+    if kind == "dataset":
+        cache = DatasetCache(tmp_path, enabled=True)
+        stored = LabeledDataset(
+            rng.normal(size=(64, 5)),
+            [HandoverType.SCGA, HandoverType.SCGR] * 32,
+            np.linspace(0.0, 6.3, 64),
+        )
+        cache.put("radio", "k" * 8, stored)
+        return (
+            cache,
+            cache._path("radio", "k" * 8),
+            lambda: cache.get("radio", "k" * 8),
+            lambda got: np.array_equal(got.x, stored.x)
+            and np.array_equal(got.times_s, stored.times_s)
+            and got.labels == stored.labels,
+        )
+    cache = ModelCache(tmp_path, enabled=True)
+    stored = {"weights": rng.normal(size=256), "depth": 3}
+    cache.put("gbc", "k" * 8, stored)
+    return (
+        cache,
+        cache._path("gbc", "k" * 8),
+        lambda: cache.get("gbc", "k" * 8),
+        lambda got: np.array_equal(got["weights"], stored["weights"])
+        and got["depth"] == stored["depth"],
+    )
+
+
+@pytest.mark.parametrize("kind", ["drive", "dataset", "model"])
+def test_bit_flips_serve_intact_or_quarantine(tmp_path, scenario, drive_log, kind):
+    cache, path, lookup, intact = _stored_entry(kind, tmp_path, scenario, drive_log)
+    original = path.read_bytes()
+    quarantined = path.with_name(path.name + ".corrupt")
+    offsets = np.unique(np.linspace(0, len(original) - 1, FLIPS).astype(int))
+    for i, offset in enumerate(offsets.tolist()):
+        damaged = bytearray(original)
+        damaged[offset] ^= 1 << (i % 8)
+        path.write_bytes(bytes(damaged))
+        before = dict(cache.stats)
+        got = lookup()
+        where = f"bit {i % 8} of byte {offset}/{len(original)}"
+        if got is None:
+            assert cache.stats["corrupt"] == before["corrupt"] + 1, where
+            assert cache.stats["misses"] == before["misses"] + 1, where
+            assert not path.exists() and quarantined.exists(), where
+            quarantined.unlink()
+        else:
+            assert intact(got), f"{where} changed the served content"
+            assert cache.stats["hits"] == before["hits"] + 1, where

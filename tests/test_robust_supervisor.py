@@ -3,18 +3,24 @@
 from __future__ import annotations
 
 import time
+import warnings
 
 import pytest
 
+from repro import settings
+from repro.radio.bands import BandClass
+from repro.ran import OPX
 from repro.robust import faults, supervisor
 from repro.robust.supervisor import (
     backoff_s,
-    job_retries,
     job_timeout_s,
     last_run_stats,
     supervised_map,
 )
 from repro.simulate import fanout
+from repro.simulate.scenarios import freeway_scenario
+
+NUMERIC_KNOBS = [s for s in settings.SETTINGS.values() if s.type in (int, float)]
 
 
 @pytest.fixture(autouse=True)
@@ -22,7 +28,6 @@ def _isolated_faults(monkeypatch):
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
     monkeypatch.delenv("REPRO_FORCE_SPAWN", raising=False)
     monkeypatch.delenv("REPRO_JOB_TIMEOUT_S", raising=False)
-    monkeypatch.delenv("REPRO_JOB_RETRIES", raising=False)
     faults.reset()
     yield
     faults.reset()
@@ -184,25 +189,48 @@ class TestRecovery:
 
 
 class TestKnobs:
+    @pytest.fixture(autouse=True)
+    def _fresh_warnings(self, monkeypatch):
+        # Warn-once is per process; each case starts with a clean slate.
+        monkeypatch.setattr(settings, "_warned", set())
+
     def test_timeout_env(self, monkeypatch):
         assert job_timeout_s() is None
         monkeypatch.setenv("REPRO_JOB_TIMEOUT_S", "2.5")
         assert job_timeout_s() == 2.5
         monkeypatch.setenv("REPRO_JOB_TIMEOUT_S", "0")
         assert job_timeout_s() is None
-        monkeypatch.setenv("REPRO_JOB_TIMEOUT_S", "soon")
-        with pytest.warns(RuntimeWarning, match="REPRO_JOB_TIMEOUT_S"):
-            assert job_timeout_s() is None
+        for bad in ("soon", "nan", "inf", "-1"):
+            monkeypatch.setenv("REPRO_JOB_TIMEOUT_S", bad)
+            with pytest.warns(RuntimeWarning, match="REPRO_JOB_TIMEOUT_S"):
+                assert job_timeout_s() is None
 
-    def test_retries_env(self, monkeypatch):
-        assert job_retries() == 2
-        monkeypatch.setenv("REPRO_JOB_RETRIES", "5")
-        assert job_retries() == 5
-        monkeypatch.setenv("REPRO_JOB_RETRIES", "-3")
-        assert job_retries() == 0
-        monkeypatch.setenv("REPRO_JOB_RETRIES", "many")
-        with pytest.warns(RuntimeWarning, match="REPRO_JOB_RETRIES"):
-            assert job_retries() == 2
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-5", "lots"])
+    @pytest.mark.parametrize("setting", NUMERIC_KNOBS, ids=lambda s: s.name)
+    def test_numeric_knob_warns_once_and_defaults(self, monkeypatch, setting, raw):
+        monkeypatch.delenv(setting.name, raising=False)
+        default = settings.get(setting.name)
+        monkeypatch.setenv(setting.name, raw)
+        with pytest.warns(RuntimeWarning, match=setting.name):
+            assert settings.get(setting.name) == default
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert settings.get(setting.name) == default
+
+    def test_infinite_timeout_runs_untimed(self, monkeypatch):
+        from repro.simulate.runner import run_drives
+
+        scenarios = [
+            freeway_scenario(OPX, BandClass.LOW, length_km=0.3, seed=seed)
+            for seed in (3, 4)
+        ]
+        monkeypatch.setenv("REPRO_JOB_TIMEOUT_S", "inf")
+        with pytest.warns(RuntimeWarning, match="REPRO_JOB_TIMEOUT_S"):
+            logs = run_drives(scenarios, workers=2, use_cache=False)
+        assert last_run_stats().jobs == 2
+        assert [log.columnar().content_digest() for log in logs] == [
+            s.run().columnar().content_digest() for s in scenarios
+        ]
 
     def test_backoff_deterministic_and_bounded(self):
         assert backoff_s(1, salt=4) == backoff_s(1, salt=4)

@@ -132,12 +132,16 @@ def test_handoff_recv_on_drained_socket_raises_blocking():
 
 
 def test_shards_env_knob_validated(monkeypatch):
+    from repro import settings
+    from repro.serve.server import PrognosServer
+
+    monkeypatch.setattr(settings, "_warned", set())
     monkeypatch.setenv("REPRO_SERVE_SHARDS", "3")
     assert serve_shards() == 3
     assert resolve_shards(ServerConfig()) == 3
     assert resolve_shards(ServerConfig(shards=5)) == 5  # explicit wins
     default = max(1, (os.cpu_count() or 2) - 1)
-    for bad in ("lots", "0", "-2", "2.5"):
+    for bad in ("lots", "0", "-2", "2.5", "nan", "inf"):
         monkeypatch.setenv("REPRO_SERVE_SHARDS", bad)
         with pytest.warns(RuntimeWarning, match="REPRO_SERVE_SHARDS"):
             assert serve_shards() == default
@@ -145,14 +149,13 @@ def test_shards_env_knob_validated(monkeypatch):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert serve_shards() == default
+    for bad in ("often", "-1", "nan", "inf"):
+        monkeypatch.setenv("REPRO_SERVE_HEARTBEAT_S", bad)
+        with pytest.warns(RuntimeWarning, match="REPRO_SERVE_HEARTBEAT_S"):
+            assert PrognosServer(ServerConfig()).heartbeat_s == 30.0
 
 
-def test_routing_env_knob_validated(monkeypatch):
-    monkeypatch.setenv("REPRO_SERVE_ROUTING", "sideways")
-    with pytest.warns(RuntimeWarning, match="REPRO_SERVE_ROUTING"):
-        resolve_routing(ServerConfig(routing="auto"))
-    monkeypatch.setenv("REPRO_SERVE_ROUTING", "handoff")
-    assert resolve_routing(ServerConfig(routing="auto")) == "handoff"
+def test_routing_env_knob_validated():
     with pytest.raises(ValueError):
         resolve_routing(ServerConfig(routing="multicast"))
 
