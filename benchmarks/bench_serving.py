@@ -185,7 +185,7 @@ def test_shard_scaling(corpus):
         # client core can never be the bottleneck being measured.
         processes = min(n_shards, 8)
         pid, port = spawn_server(
-            ServerConfig(batched=True, shards=n_shards, routing="auto")
+            ServerConfig(batched=True, shards=n_shards)
         )
         try:
             result = run_load(port, scripts, collect=True, processes=processes)
@@ -293,9 +293,7 @@ def test_serving_resilience(corpus, monkeypatch):
     monkeypatch.setenv(faults.ENV_VAR, CHAOS_SPEC)
     faults.reset()
 
-    config = ServerConfig(
-        batched=True, shards=2, routing="auto", heartbeat_s=1.0, drain_s=2.0
-    )
+    config = ServerConfig(batched=True, shards=2, heartbeat_s=1.0, drain_s=2.0)
 
     async def chaos_run():
         async with ShardedPrognosServer(config) as server:

@@ -185,20 +185,6 @@ class ReportPredictor:
                 if not cand_cells:
                     continue
                 hys = config.hysteresis_db + margin
-                if event not in (
-                    EventType.A3,
-                    EventType.A4,
-                    EventType.B1,
-                    EventType.A5,
-                ):
-                    # Unexpected neighbour event: scalar fallback.
-                    for cell in cand_cells:
-                        fire = self._first_sustained_trigger(
-                            config, serving_series, forecasts[cell], step_s
-                        )
-                        if fire is not None:
-                            reports.append(PredictedReport(config.label, fire, cell))
-                    continue
                 needed = int(np.ceil(config.time_to_trigger_s / step_s))
                 if needed < 1:
                     needed = 1

@@ -13,10 +13,9 @@ to the per-session scalar pipeline.
 
 One engine process is one core; :mod:`repro.serve.shard` scales the
 daemon across cores by forking ``REPRO_SERVE_SHARDS`` engine worker
-processes behind an acceptor/controller that routes each UE session to
-a shard — kernel-side via ``SO_REUSEPORT`` listeners or user-side via
-consistent-hash fd handoff — and respawns/degrades crashed shards
-individually.
+processes behind an acceptor/controller that hands each UE session's
+connection fd to the shard its session id hashes to, and
+respawns/degrades crashed shards individually.
 
 The closed-loop load generator (:mod:`repro.serve.loadgen`) drives
 simulated clients from drive logs or corpus slices and measures

@@ -41,7 +41,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.prognos import PrognosConfig
-from repro.core.report_predictor import ReportPredictor
 from repro.core.rrs_predictor import _future_grid
 from repro.core.smoothing import TriangularKernelSmoother
 from repro.rrc.events import EventConfig, EventType
@@ -333,38 +332,6 @@ def _fit_group(entries: list, n: int, window_s: float, steps: int) -> None:
         fdict[cell] = out[r]
 
 
-def _first_sustained(
-    config: EventConfig,
-    serving_series: np.ndarray | None,
-    neighbour_series: np.ndarray | None,
-    step_s: float,
-) -> float | None:
-    """Scalar fallback, copied from ``_first_sustained_trigger``."""
-    steps = (
-        neighbour_series.size
-        if neighbour_series is not None
-        else (serving_series.size if serving_series is not None else 0)
-    )
-    if steps == 0:
-        return None
-    held_from: int | None = None
-    needed_steps = int(np.ceil(config.time_to_trigger_s / step_s))
-    condition = ReportPredictor._condition
-    for i in range(steps):
-        serving_value = serving_series[i] if serving_series is not None else float("-inf")
-        neighbour_value = (
-            neighbour_series[i] if neighbour_series is not None else float("-inf")
-        )
-        if condition(config, serving_value, neighbour_value, 0.0):
-            if held_from is None:
-                held_from = i
-            if i - held_from + 1 >= max(needed_steps, 1):
-                return (i + 1) * step_s
-        else:
-            held_from = None
-    return None
-
-
 def _stack(rows: list[np.ndarray]) -> np.ndarray:
     """Row-copy stack; avoids ``np.vstack``'s atleast_2d/concatenate
     overhead on the hot path. Pure copies — bitwise-neutral."""
@@ -412,28 +379,6 @@ def _run_cohort(
         hys = config.hysteresis_db
         label = config.label
         if event.needs_neighbour:
-            batched = event in (
-                EventType.A3,
-                EventType.A4,
-                EventType.B1,
-                EventType.A5,
-            )
-            if not batched:
-                # Unexpected neighbour event: the reference's scalar
-                # fallback, per session.
-                for ji, (_c, _e, _nn, serving_cell, candidates) in participants:
-                    fdict = fdicts[ji]
-                    serving_series = (
-                        fdict.get(serving_cell) if serving_cell is not None else None
-                    )
-                    for cell in candidates:
-                        series = fdict.get(cell)
-                        if series is None:
-                            continue
-                        fire = _first_sustained(config, serving_series, series, step_s)
-                        if fire is not None:
-                            results[ji].append((label, fire, cell))
-                continue
             needed = int(np.ceil(config.time_to_trigger_s / step_s))
             if needed < 1:
                 needed = 1
@@ -512,16 +457,8 @@ def _run_cohort(
                 cond = (S - hys) > config.threshold_dbm
             elif event is EventType.A2:
                 cond = (S + hys) < config.threshold_dbm
-            elif event is EventType.PERIODIC:
+            else:  # PERIODIC
                 cond = np.ones(S.shape, dtype=bool)
-            else:
-                # No standard serving-only event beyond these; fall back
-                # to the scalar condition per session for exactness.
-                for ji, s in zip(row_jis, rows):
-                    fire = _first_sustained(config, s, None, step_s)
-                    if fire is not None:
-                        results[ji].append((label, fire, None))
-                continue
             ok = _sustained_ok(cond, needed, steps)
             hit = ok.any(axis=1)
             if hit.any():

@@ -1014,12 +1014,14 @@ class LoadgenResult:
 
 
 async def _serve_until_sigterm(config: ServerConfig, write_fd: int) -> None:
+    # Hook SIGTERM before the port goes out: a caller may stop the
+    # daemon the moment spawn_server returns.
+    stop = asyncio.Event()
+    asyncio.get_running_loop().add_signal_handler(signal.SIGTERM, stop.set)
     server = make_server(config)
     await server.start()
     os.write(write_fd, f"{server.port}\n".encode())
     os.close(write_fd)
-    stop = asyncio.Event()
-    asyncio.get_running_loop().add_signal_handler(signal.SIGTERM, stop.set)
     await stop.wait()
     # Graceful before hard: byes with resume tokens, then teardown.
     with contextlib.suppress(Exception):
@@ -1089,9 +1091,6 @@ def main(argv: list[str] | None = None) -> int:
         help="engine shard processes (default: REPRO_SERVE_SHARDS / cpus-1)",
     )
     parser.add_argument(
-        "--routing", choices=("auto", "reuseport", "handoff"), default="auto"
-    )
-    parser.add_argument(
         "--processes",
         type=int,
         default=1,
@@ -1134,9 +1133,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         for i in range(args.sessions)
     ]
-    config = ServerConfig(
-        batched=args.mode == "batched", shards=args.shards, routing=args.routing
-    )
+    config = ServerConfig(batched=args.mode == "batched", shards=args.shards)
     pid, port = spawn_server(config)
     try:
         result = run_load(

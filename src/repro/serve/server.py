@@ -33,8 +33,9 @@ Resilience (see DESIGN.md §6d for the full ladder):
   parks the state instead of destroying it, and a client reconnecting
   with ``resume {token, last_seq}`` gets the missed tail replayed
   bit-identically. Under a shard controller, parked states are
-  exported over the control channel and adopted by whichever shard the
-  resume lands on.
+  exported over the control channel to the controller's orphan pool
+  and claimed back by the session's own shard when the resume lands
+  there.
 * **Liveness** — a sweeper pings idle connections (``H`` frames) after
   ``REPRO_SERVE_HEARTBEAT_S``, evicts dead peers at twice that, and
   expires parked sessions at four times (reasons surfaced in the bye
@@ -110,10 +111,6 @@ class ServerConfig:
     #: :class:`PrognosServer`. Direct ``PrognosServer`` construction
     #: always serves single-process and ignores this field.
     shards: int | None = None
-    #: Session→shard routing: ``"auto"`` picks kernel ``SO_REUSEPORT``
-    #: listeners where available, else the user-level consistent-hash
-    #: fd handoff; ``"reuseport"`` / ``"handoff"`` force a mode.
-    routing: str = "auto"
     #: Shard process crash budget before a shard is respawned degraded
     #: (inline-sequential). Per shard, on top of the per-process engine
     #: ladder above.
@@ -275,7 +272,8 @@ class PrognosServer:
         return self._server.sockets[0].getsockname()[1]
 
     async def start_engine(self) -> None:
-        """Arm the engine without a TCP listener (fd-handoff shards)."""
+        """Arm the engine without a TCP listener (shards adopt handed-off
+        connections instead)."""
         self._running = True
         self._collector = BatchCollector()
         if self.config.batched:
@@ -283,17 +281,12 @@ class PrognosServer:
         if self.heartbeat_s > 0:
             self._sweeper_task = asyncio.create_task(self._sweep_loop())
 
-    async def start(self, *, sock: socket.socket | None = None) -> None:
-        """Start the engine and listen — on ``sock`` when given (a
-        pre-bound ``SO_REUSEPORT`` shard listener), else on the
-        configured host/port."""
+    async def start(self) -> None:
+        """Start the engine and listen on the configured host/port."""
         await self.start_engine()
-        if sock is not None:
-            self._server = await asyncio.start_server(self._handle_client, sock=sock)
-        else:
-            self._server = await asyncio.start_server(
-                self._handle_client, self.config.host, self.config.port
-            )
+        self._server = await asyncio.start_server(
+            self._handle_client, self.config.host, self.config.port
+        )
 
     def adopt(self, sock: socket.socket, first_payload: bytes) -> asyncio.Task:
         """Serve a connection handed over by the shard controller.
@@ -726,40 +719,9 @@ class PrognosServer:
         self.exported += 1
         return True
 
-    def yank_state(self, session_id: str, token) -> bytes | None:
-        """Surrender one session for a sibling shard's resume.
-
-        The controller yanks when a resume landed on another shard
-        before this one noticed the disconnect. The token proves the
-        claimant owns the session, so a still-attached connection is a
-        zombie the client already abandoned — kill it and export. The
-        engine holds no hidden in-flight work: its batch body is
-        synchronous, so ``pending`` always equals the queued ticks.
-        """
-        state = self._sessions.get(session_id)
-        if state is None or state.finished or not isinstance(token, str):
-            return None
-        if not hmac.compare_digest(state.token, token):
-            return None
-        conn = state.conn
-        if conn is not None:
-            state.conn = None
-            if conn.flusher is not None:
-                conn.flusher.cancel()
-            conn.kill()
-        try:
-            blob = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:
-            return None
-        if len(blob) > MAX_EXPORT:
-            return None
-        del self._sessions[session_id]
-        state.gone = True
-        self.exported += 1
-        return blob
-
     async def _claim_state(self, session_id: str, token) -> SessionState | None:
-        """Fetch a session another shard exported (resume miss path)."""
+        """Fetch this session back from the controller's orphan pool
+        (resume miss path: the session was parked and exported)."""
         cb = self.claim_state_cb
         if cb is None or not isinstance(token, str):
             return None

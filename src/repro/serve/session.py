@@ -171,8 +171,8 @@ class SessionState:
     frames, and the accounting the bye frame reports. The live
     ``_Connection`` is deliberately *not* part of the state — it is the
     one field dropped on pickling, which is how a shard exports a
-    detached session over the control channel for a successor (or a
-    sibling, under ``SO_REUSEPORT`` routing) to adopt.
+    detached session over the control channel for its own resume, or
+    its successor in the same slot, to adopt.
     """
 
     __slots__ = (

@@ -15,19 +15,15 @@ the :mod:`repro.simulate.fanout` registry: nothing is serialized per
 shard, and a respawned shard re-inherits the same objects because the
 controller still holds them.
 
-**Routing** (``ServerConfig.routing``):
-
-* ``reuseport`` — every shard opens its own listener on the shared
-  port with ``SO_REUSEPORT``; the kernel distributes connections and
-  the controller never touches a byte of session traffic.
-* ``handoff`` — the controller accepts, reads exactly the handshake
-  frame (:func:`~repro.serve.protocol.read_frame_sock` never
-  over-reads, so pipelined bytes stay in the kernel buffer), picks the
-  shard by a consistent hash of the session id, and passes the
-  connection fd over a Unix datagram socketpair with
-  ``socket.send_fds``. Tick frames never transit the controller.
-* ``auto`` — ``reuseport`` where the platform has it, else
-  ``handoff``.
+**Routing: consistent-hash fd handoff.** The controller accepts, reads
+exactly the handshake frame (:func:`~repro.serve.protocol.read_frame_sock`
+never over-reads, so pipelined bytes stay in the kernel buffer), picks
+the shard by a consistent hash of the session id, and passes the
+connection fd over a Unix datagram socketpair with ``socket.send_fds``.
+Tick frames never transit the controller. This is the only routing
+mode: ``send_fds`` exists on every platform that can fork this server,
+and the hash puts a session on the same shard on all of them, whereas
+kernel-balanced per-shard listeners are Linux-only (DESIGN.md §6d).
 
 **Handoff resync.** The controller keeps its duplicate of a handed-off
 connection open until the shard acknowledges adoption over the control
@@ -45,21 +41,20 @@ unacknowledged handoffs are resynced to the new process. Past the
 sequential serving, that shard alone — while sibling shards keep their
 micro-batch engines and their sessions' byte streams untouched.
 
-**Session resumption across shards.** When a shard parks a session
-(unclean disconnect) it exports the pickled
+**Session resumption.** When a shard parks a session (unclean
+disconnect) it exports the pickled
 :class:`~repro.serve.session.SessionState` — journal, inbox, learner —
 over the control channel into the controller's bounded **orphan
-pool**; the local copy is dropped. A resume landing on *any* shard
-thus misses locally and claims the state back from the controller by
-``(session, token)``, so both routing modes survive reconnects that
-land on a different process, and a shard refork hands its sessions to
-the successor for free. **Graceful drain** builds on the same path:
-``drain`` over the control channel makes a shard stop accepting, flush
-in-flight ticks, send byes carrying resume tokens, export every
-remaining session, and exit — :meth:`ShardedPrognosServer.
-rolling_drain` does this one slot at a time (the planned exit skips
-the restart penalty and backoff), while SIGTERM drains the whole
-daemon in parallel before shutdown.
+pool**; the local copy is dropped. The resume hashes to the same slot,
+misses locally and claims the state back from the pool by
+``(session, token)``; a shard refork hands its sessions to the
+successor in that slot the same way. **Graceful drain** builds on the
+same path: ``drain`` over the control channel makes a shard stop
+accepting, flush in-flight ticks, send byes carrying resume tokens,
+export every remaining session, and exit —
+:meth:`ShardedPrognosServer.rolling_drain` does this one slot at a time
+(the planned exit skips the restart penalty and backoff), while SIGTERM
+drains the whole daemon in parallel before shutdown.
 """
 
 from __future__ import annotations
@@ -101,11 +96,9 @@ ORPHAN_POOL_MAX = 4096
 
 _SEQ = struct.Struct("<Q")
 
-ROUTING_MODES = ("auto", "reuseport", "handoff")
-
 
 # ----------------------------------------------------------------------
-# Knobs and routing resolution
+# Knobs and platform check
 # ----------------------------------------------------------------------
 
 
@@ -126,28 +119,9 @@ def resolve_shards(config: ServerConfig) -> int:
     return max(1, int(config.shards))
 
 
-def reuseport_available() -> bool:
-    """Whether kernel ``SO_REUSEPORT`` listener sharding is usable."""
-    return hasattr(socket, "SO_REUSEPORT")
-
-
 def fd_passing_available() -> bool:
     """Whether ``socket.send_fds`` fd handoff is usable."""
     return hasattr(socket, "send_fds") and hasattr(socket, "recv_fds")
-
-
-def resolve_routing(config: ServerConfig) -> str:
-    """Pick the concrete routing mode for a sharded server."""
-    mode = (config.routing or "auto").strip().lower()
-    if mode not in ROUTING_MODES:
-        raise ValueError(f"unknown routing mode {config.routing!r}")
-    if mode == "auto":
-        mode = "reuseport" if reuseport_available() else "handoff"
-    if mode == "reuseport" and not reuseport_available():
-        mode = "handoff"
-    if mode == "handoff" and not fd_passing_available():
-        raise RuntimeError("fd handoff requires socket.send_fds (Unix)")
-    return mode
 
 
 def shard_for_session(session_id: str, n_shards: int) -> int:
@@ -194,8 +168,7 @@ def _shard_child(
     shard_id: int,
     generation: int,
     control_sock: socket.socket,
-    handoff_sock: socket.socket | None,
-    listen_addr: tuple[str, int] | None,
+    handoff_sock: socket.socket,
 ) -> int:
     """Forked shard body: fresh event loop, one engine, never returns
     to the caller's frame (the fork site ``os._exit``s the result)."""
@@ -208,9 +181,7 @@ def _shard_child(
     asyncio.set_event_loop(loop)
     try:
         return loop.run_until_complete(
-            _shard_serve(
-                config, shard_id, generation, control_sock, handoff_sock, listen_addr
-            )
+            _shard_serve(config, shard_id, generation, control_sock, handoff_sock)
         )
     except Exception:
         return 1
@@ -224,22 +195,11 @@ async def _shard_serve(
     shard_id: int,
     generation: int,
     control_sock: socket.socket,
-    handoff_sock: socket.socket | None,
-    listen_addr: tuple[str, int] | None,
+    handoff_sock: socket.socket,
 ) -> int:
     loop = asyncio.get_running_loop()
     server = PrognosServer(config, shard_id=shard_id, generation=generation)
-    port = 0
-    if listen_addr is not None:
-        lsock = socket.socket()
-        lsock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-        lsock.bind(listen_addr)
-        lsock.listen(512)
-        lsock.setblocking(False)
-        port = lsock.getsockname()[1]
-        await server.start(sock=lsock)
-    else:
-        await server.start_engine()
+    await server.start_engine()
 
     control_sock.setblocking(False)
     creader, cwriter = await asyncio.open_connection(
@@ -247,7 +207,7 @@ async def _shard_serve(
     )
     stop = asyncio.Event()
     adopted = 0
-    draining = False
+    drain_task: asyncio.Task | None = None
     claims: dict[int, asyncio.Future] = {}
     next_claim = 0
 
@@ -292,10 +252,6 @@ async def _shard_serve(
 
     async def _do_drain(deadline) -> None:
         """Drain, export every surviving session, report, exit."""
-        nonlocal draining
-        if draining:
-            return
-        draining = True
         await server.drain(deadline if isinstance(deadline, (int, float)) else None)
         for state in server.extract_states():
             try:
@@ -310,34 +266,38 @@ async def _shard_serve(
             await cwriter.drain()
         stop.set()
 
-    loop.add_signal_handler(
-        signal.SIGTERM, lambda: loop.create_task(_do_drain(None))
-    )
+    def _start_drain(deadline) -> None:
+        # One drain per process, and none once teardown has begun: a
+        # task created after ``stop`` would never run.
+        nonlocal drain_task
+        if drain_task is None and not stop.is_set():
+            drain_task = loop.create_task(_do_drain(deadline))
 
-    if handoff_sock is not None:
-        handoff_sock.setblocking(False)
+    loop.add_signal_handler(signal.SIGTERM, _start_drain, None)
 
-        def _on_handoff() -> None:
-            nonlocal adopted
-            while True:
-                try:
-                    seq, payload, fd = recv_handoff(handoff_sock)
-                except (BlockingIOError, InterruptedError):
-                    return
-                except OSError:
-                    loop.remove_reader(handoff_sock.fileno())
-                    stop.set()
-                    return
-                conn = socket.socket(fileno=fd)
-                conn.setblocking(False)
-                adopted += 1
-                server.adopt(conn, payload)
-                # Ack *after* adopt: from here the connection is this
-                # shard's failure domain and the controller releases
-                # its duplicate.
-                _send_control({"t": "adopted", "seq": seq})
+    handoff_sock.setblocking(False)
 
-        loop.add_reader(handoff_sock.fileno(), _on_handoff)
+    def _on_handoff() -> None:
+        nonlocal adopted
+        while True:
+            try:
+                seq, payload, fd = recv_handoff(handoff_sock)
+            except (BlockingIOError, InterruptedError):
+                return
+            except OSError:
+                loop.remove_reader(handoff_sock.fileno())
+                stop.set()
+                return
+            conn = socket.socket(fileno=fd)
+            conn.setblocking(False)
+            adopted += 1
+            server.adopt(conn, payload)
+            # Ack *after* adopt: from here the connection is this
+            # shard's failure domain and the controller releases its
+            # duplicate.
+            _send_control({"t": "adopted", "seq": seq})
+
+    loop.add_reader(handoff_sock.fileno(), _on_handoff)
 
     async def _control_loop() -> None:
         while True:
@@ -361,29 +321,21 @@ async def _shard_serve(
                 future = claims.get(message.get("id"))
                 if future is not None and not future.done():
                     future.set_result(message.get("blob"))
-            elif kind == "yank":
-                # A resume for a session this shard still holds landed
-                # on a sibling; surrender the state through the
-                # controller (token-checked inside yank_state).
-                blob = server.yank_state(
-                    message.get("session"), message.get("token")
-                )
-                _send_control(
-                    {
-                        "t": "yanked",
-                        "id": message.get("id"),
-                        "blob": base64.b64encode(blob).decode() if blob else None,
-                    }
-                )
             elif kind == "drain":
-                loop.create_task(_do_drain(message.get("deadline")))
+                _start_drain(message.get("deadline"))
 
     control_task = asyncio.create_task(_control_loop())
-    _send_control({"t": "ready", "port": port})
+    _send_control({"t": "ready"})
     await stop.wait()
-    control_task.cancel()
-    with contextlib.suppress(asyncio.CancelledError):
-        await control_task
+    # Unhook SIGTERM while the loop still runs: removing the handler
+    # also clears the signal wakeup fd, which ``loop.close()`` would
+    # otherwise close first — a late SIGTERM then writes to a dead fd.
+    loop.remove_signal_handler(signal.SIGTERM)
+    for task in (control_task, drain_task):
+        if task is not None and not task.done():
+            task.cancel()
+            with contextlib.suppress(asyncio.CancelledError):
+                await task
     await server.shutdown()
     with contextlib.suppress(Exception):
         cwriter.close()
@@ -404,7 +356,6 @@ class _Shard:
         "restarts",
         "degraded",
         "ready",
-        "port",
         "control_sock",
         "control_reader",
         "control_writer",
@@ -424,7 +375,6 @@ class _Shard:
         self.restarts = 0
         self.degraded = False
         self.ready = asyncio.Event()
-        self.port = 0
         self.control_sock: socket.socket | None = None
         self.control_reader = None
         self.control_writer = None
@@ -439,6 +389,8 @@ class _Shard:
         #: A planned (rolling-drain) exit is underway: the respawn
         #: skips the crash penalty and the backoff.
         self.draining = False
+        #: This process reported ``drained``: it exits on its own, so
+        #: shutdown reaps it without a signal.
         self.drained = asyncio.Event()
 
 
@@ -454,12 +406,12 @@ class ShardedPrognosServer:
     """
 
     def __init__(self, config: ServerConfig | None = None) -> None:
+        if not fd_passing_available():
+            raise RuntimeError("sharded serving requires socket.send_fds (Unix)")
         self.config = config or ServerConfig()
         self.n_shards = resolve_shards(self.config)
-        self.routing = resolve_routing(self.config)
         self._shards: list[_Shard] = []
         self._listen_sock: socket.socket | None = None
-        self._placeholder: socket.socket | None = None
         self._accept_task: asyncio.Task | None = None
         self._route_tasks: set[asyncio.Task] = set()
         self._routing_conns: set[socket.socket] = set()
@@ -472,9 +424,6 @@ class ShardedPrognosServer:
         self._orphans: OrderedDict[str, tuple[str, str]] = OrderedDict()
         self.orphans_claimed = 0
         self.orphans_dropped = 0
-        #: In-flight claim-miss yanks: yank id → pending record.
-        self._yanks: dict[int, dict] = {}
-        self._next_yank = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -494,24 +443,13 @@ class ShardedPrognosServer:
 
     async def start(self) -> None:
         self._running = True
-        host = self.config.host
-        if self.routing == "reuseport":
-            # Reserve the port without listening: shards open their own
-            # SO_REUSEPORT listeners on it; the placeholder keeps the
-            # reservation alive across shard respawns.
-            sock = socket.socket()
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-            sock.bind((host, self.config.port))
-            self._placeholder = sock
-            self._port = sock.getsockname()[1]
-        else:
-            sock = socket.socket()
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            sock.bind((host, self.config.port))
-            sock.listen(512)
-            sock.setblocking(False)
-            self._listen_sock = sock
-            self._port = sock.getsockname()[1]
+        sock = socket.socket()
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        sock.bind((self.config.host, self.config.port))
+        sock.listen(512)
+        sock.setblocking(False)
+        self._listen_sock = sock
+        self._port = sock.getsockname()[1]
         for shard_id in range(self.n_shards):
             shard = _Shard(shard_id)
             self._shards.append(shard)
@@ -519,13 +457,11 @@ class ShardedPrognosServer:
         await asyncio.wait_for(
             asyncio.gather(*(s.ready.wait() for s in self._shards)), timeout=60.0
         )
-        if self._listen_sock is not None:
-            self._accept_task = asyncio.create_task(self._accept_loop())
+        self._accept_task = asyncio.create_task(self._accept_loop())
 
     def _send_drain(self, shard: _Shard, deadline_s: float | None) -> bool:
         if not shard.ready.is_set() or shard.control_writer is None:
             return False
-        shard.drained = asyncio.Event()
         message = {"t": "drain", "deadline": deadline_s}
         try:
             shard.control_writer.write(
@@ -557,12 +493,11 @@ class ShardedPrognosServer:
     async def rolling_drain(self, deadline_s: float | None = None) -> None:
         """Drain and refork one shard at a time.
 
-        While a slot is down, its sessions' resumes land on siblings
-        (``reuseport``) or park in the controller's pending handoffs
-        until the successor reports ready (``handoff``); either way the
-        exported state is claimed from the orphan pool, so no session
-        restarts. The planned exit skips the crash penalty, leaving the
-        restart budget intact.
+        While a slot is down, its sessions' resumes park in the
+        controller's pending handoffs until the successor reports
+        ready, which claims the exported state from the orphan pool, so
+        no session restarts. The planned exit skips the crash penalty,
+        leaving the restart budget intact.
         """
         loop = asyncio.get_running_loop()
         for shard in self._shards:
@@ -602,8 +537,9 @@ class ShardedPrognosServer:
                 shard.monitor.cancel()
                 with contextlib.suppress(asyncio.CancelledError):
                     await shard.monitor
-            with contextlib.suppress(ProcessLookupError, OSError):
-                os.kill(shard.pid, signal.SIGTERM)
+            if not shard.drained.is_set():
+                with contextlib.suppress(ProcessLookupError, OSError):
+                    os.kill(shard.pid, signal.SIGTERM)
         for shard in self._shards:
             if shard.pid > 0:
                 await loop.run_in_executor(
@@ -618,12 +554,10 @@ class ShardedPrognosServer:
             with contextlib.suppress(OSError):
                 conn.close()
         self._routing_conns.clear()
-        for sock in (self._listen_sock, self._placeholder):
-            if sock is not None:
-                with contextlib.suppress(OSError):
-                    sock.close()
+        if self._listen_sock is not None:
+            with contextlib.suppress(OSError):
+                self._listen_sock.close()
         self._listen_sock = None
-        self._placeholder = None
         self._shards.clear()
 
     # ------------------------------------------------------------------
@@ -642,8 +576,6 @@ class ShardedPrognosServer:
         socks: list[socket.socket] = []
         if self._listen_sock is not None:
             socks.append(self._listen_sock)
-        if self._placeholder is not None:
-            socks.append(self._placeholder)
         for shard in self._shards:
             if shard.control_sock is not None:
                 socks.append(shard.control_sock)
@@ -661,13 +593,8 @@ class ShardedPrognosServer:
     def _spawn(self, shard: _Shard) -> None:
         """Fork one engine worker; models are inherited, never pickled."""
         control_parent, control_child = socket.socketpair()
-        handoff_parent = handoff_child = None
-        if self.routing == "handoff":
-            handoff_parent, handoff_child = socket.socketpair(
-                socket.AF_UNIX, socket.SOCK_DGRAM
-            )
-        listen_addr = (
-            (self.config.host, self._port) if self.routing == "reuseport" else None
+        handoff_parent, handoff_child = socket.socketpair(
+            socket.AF_UNIX, socket.SOCK_DGRAM
         )
         close_in_child = self._controller_fds()
         degraded = shard.degraded
@@ -677,25 +604,19 @@ class ShardedPrognosServer:
             status = 1
             try:
                 control_parent.close()
-                if handoff_parent is not None:
-                    handoff_parent.close()
+                handoff_parent.close()
                 for fd in close_in_child:
                     with contextlib.suppress(OSError):
                         os.close(fd)
                 status = _shard_child(
-                    config,
-                    shard.id,
-                    shard.restarts,
-                    control_child,
-                    handoff_child,
-                    listen_addr,
+                    config, shard.id, shard.restarts, control_child, handoff_child
                 )
             finally:
                 os._exit(status)
         control_child.close()
-        if handoff_child is not None:
-            handoff_child.close()
+        handoff_child.close()
         shard.pid = pid
+        shard.drained = asyncio.Event()
         shard.control_sock = control_parent
         shard.handoff_sock = handoff_parent
         shard.sent.clear()
@@ -746,7 +667,6 @@ class ShardedPrognosServer:
                     continue
                 kind = message.get("t")
                 if kind == "ready":
-                    shard.port = int(message.get("port") or 0)
                     shard.ready.set()
                     self._flush_handoffs(shard)
                 elif kind == "adopted":
@@ -763,8 +683,6 @@ class ShardedPrognosServer:
                     self._store_orphan(message)
                 elif kind == "claim":
                     self._answer_claim(shard, message)
-                elif kind == "yanked":
-                    self._on_yanked(message)
                 elif kind == "drained":
                     shard.drained.set()
         except (ConnectionError, OSError):
@@ -792,115 +710,31 @@ class ShardedPrognosServer:
             self._orphans.popitem(last=False)
             self.orphans_dropped += 1
 
-    def _reply_claim(self, shard: _Shard, req_id, blob64) -> None:
-        reply = {"t": "state", "id": req_id, "blob": blob64}
-        if shard.control_writer is not None:
-            with contextlib.suppress(Exception):
-                shard.control_writer.write(
-                    json.dumps(reply, separators=(",", ":")).encode() + b"\n"
-                )
-
     def _answer_claim(self, shard: _Shard, message: dict) -> None:
-        """Resolve a shard's resume miss — orphan pool first, then yank.
+        """Resolve a shard's resume miss from the orphan pool.
 
-        A resume can land on a sibling before the owner shard has even
-        noticed the disconnect (``SO_REUSEPORT`` picks listeners at
-        random), so a pool miss fans a token-carrying yank out to every
-        other live shard; the first shard holding the session exports it
-        on demand and the claim is answered with that blob. Only when
-        every shard denies it (or the backstop timer fires — a yanked
-        shard can die mid-answer) does the claimant get a miss and the
-        client a restart.
+        A session lives only on the slot its id hashes to or, once
+        parked, in the pool, so a token-checked pool hit is the one way
+        a claim succeeds; anything else is a miss and the client
+        restarts its drive.
         """
         session_id = message.get("session")
         token = message.get("token")
-        req_id = message.get("id")
         entry = self._orphans.get(session_id) if isinstance(session_id, str) else None
+        blob64 = None
         if (
             entry is not None
             and isinstance(token, str)
             and hmac.compare_digest(entry[0], token)
         ):
             self.orphans_claimed += 1
-            self._reply_claim(shard, req_id, self._orphans.pop(session_id)[1])
-            return
-        others = [
-            s
-            for s in self._shards
-            if s is not shard and s.ready.is_set() and s.control_writer is not None
-        ]
-        if not (others and isinstance(session_id, str) and isinstance(token, str)):
-            self._reply_claim(shard, req_id, None)
-            return
-        self._next_yank += 1
-        yank_id = self._next_yank
-        record = {
-            "shard": shard,
-            "req": req_id,
-            "left": 0,
-            "session": session_id,
-            "token": token,
-        }
-        self._yanks[yank_id] = record
-        data = (
-            json.dumps(
-                {"t": "yank", "id": yank_id, "session": session_id, "token": token},
-                separators=(",", ":"),
-            ).encode()
-            + b"\n"
-        )
-        for other in others:
-            try:
-                other.control_writer.write(data)
-            except Exception:
-                continue
-            record["left"] += 1
-        if record["left"] == 0:
-            del self._yanks[yank_id]
-            self._reply_claim(shard, req_id, None)
-            return
-        # Backstop under the claimant's own 5 s wait.
-        asyncio.get_running_loop().call_later(2.0, self._expire_yank, yank_id)
-
-    def _finish_yank_miss(self, record: dict) -> None:
-        """Every shard denied the yank (or the backstop fired).
-
-        Re-check the orphan pool before giving up: the owner may have
-        been exporting the session while the claim raced past it, and
-        its control channel is ordered — the export message lands here
-        before its yank denial does.
-        """
-        entry = self._orphans.get(record["session"])
-        if entry is not None and hmac.compare_digest(entry[0], record["token"]):
-            self.orphans_claimed += 1
-            self._reply_claim(
-                record["shard"],
-                record["req"],
-                self._orphans.pop(record["session"])[1],
-            )
-        else:
-            self._reply_claim(record["shard"], record["req"], None)
-
-    def _expire_yank(self, yank_id: int) -> None:
-        record = self._yanks.pop(yank_id, None)
-        if record is not None:
-            self._finish_yank_miss(record)
-
-    def _on_yanked(self, message: dict) -> None:
-        yank_id = message.get("id")
-        record = self._yanks.get(yank_id)
-        if record is None:
-            return
-        blob64 = message.get("blob")
-        if isinstance(blob64, str) and blob64:
-            del self._yanks[yank_id]
-            self.orphans_claimed += 1
-            self._reply_claim(record["shard"], record["req"], blob64)
-            return
-        record["left"] -= 1
-        if record["left"] <= 0:
-            del self._yanks[yank_id]
-            self._finish_yank_miss(record)
+            blob64 = self._orphans.pop(session_id)[1]
+        reply = {"t": "state", "id": message.get("id"), "blob": blob64}
+        if shard.control_writer is not None:
+            with contextlib.suppress(Exception):
+                shard.control_writer.write(
+                    json.dumps(reply, separators=(",", ":")).encode() + b"\n"
+                )
 
     async def _respawn(self, shard: _Shard, planned: bool = False) -> None:
         """The shard process died: reap, back off, fork a successor.
@@ -933,7 +767,7 @@ class ShardedPrognosServer:
         self._spawn(shard)
 
     # ------------------------------------------------------------------
-    # Accept + route (handoff mode)
+    # Accept + route
     # ------------------------------------------------------------------
 
     async def _accept_loop(self) -> None:
@@ -1044,7 +878,6 @@ class ShardedPrognosServer:
         engines = [e["engine"] for e in per_shard if "engine" in e]
         return {
             "shards": self.n_shards,
-            "routing": self.routing,
             "batched": self.config.batched,
             "sessions": sum(e["sessions"] for e in engines),
             "restarts": sum(s["restarts"] for s in per_shard),

@@ -18,7 +18,7 @@ from repro.ran import OPX
 from repro.robust import faults
 from repro.serve.loadgen import build_script, run_load, spawn_server, stop_server
 from repro.serve.server import ServerConfig
-from repro.serve.shard import ShardedPrognosServer, reuseport_available
+from repro.serve.shard import ShardedPrognosServer
 from repro.simulate.runner import run_drives
 from repro.simulate.scenarios import freeway_scenario
 
@@ -120,30 +120,12 @@ def test_chaos_determinism_same_spec_same_counters(chaos_logs, chaos_spec):
     assert outcomes[0] == outcomes[1]
 
 
-@pytest.mark.parametrize(
-    "routing",
-    [
-        pytest.param(
-            "reuseport",
-            marks=pytest.mark.skipif(
-                not reuseport_available(), reason="SO_REUSEPORT unavailable"
-            ),
-        ),
-        "handoff",
-    ],
-)
-def test_chaos_sharded_kill_and_rolling_drain(chaos_logs, chaos_spec, routing):
+def test_chaos_sharded_kill_and_rolling_drain(chaos_logs, chaos_spec):
     """The acceptance run: injected network faults + one SIGKILLed
     shard + a rolling drain, in a single drive-through, with every
     merged stream bit-identical to the oracle."""
     scripts = _scripts(chaos_logs, 6)
-    config = ServerConfig(
-        batched=True,
-        shards=2,
-        routing=routing,
-        heartbeat_s=1.0,
-        drain_s=2.0,
-    )
+    config = ServerConfig(batched=True, shards=2, heartbeat_s=1.0, drain_s=2.0)
 
     async def main():
         async with ShardedPrognosServer(config) as server:

@@ -1,4 +1,5 @@
-"""Sharded serving layer: fd handoff, routing, crash resync, knobs.
+"""Sharded serving layer: fd handoff, hash routing, crash resync,
+resume affinity, the orphan pool, quiet teardown, knobs.
 
 The end-to-end tests run the controller in-process (``async with
 ShardedPrognosServer(...)``) so they can reach into shard bookkeeping
@@ -9,11 +10,13 @@ processes serve real TCP clients.
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 import signal
 import socket
 import time
 import warnings
+from types import SimpleNamespace
 
 import pytest
 
@@ -27,7 +30,6 @@ from repro.serve.shard import (
     ShardedPrognosServer,
     make_server,
     recv_handoff,
-    resolve_routing,
     resolve_shards,
     send_handoff,
     serve_shards,
@@ -155,19 +157,6 @@ def test_shards_env_knob_validated(monkeypatch):
             assert PrognosServer(ServerConfig()).heartbeat_s == 30.0
 
 
-def test_routing_env_knob_validated():
-    with pytest.raises(ValueError):
-        resolve_routing(ServerConfig(routing="multicast"))
-
-
-def test_reuseport_unavailable_falls_back_to_handoff(monkeypatch):
-    import repro.serve.shard as shard_mod
-
-    monkeypatch.setattr(shard_mod, "reuseport_available", lambda: False)
-    assert resolve_routing(ServerConfig(routing="auto")) == "handoff"
-    assert resolve_routing(ServerConfig(routing="reuseport")) == "handoff"
-
-
 def test_make_server_dispatch():
     from repro.serve.server import PrognosServer
 
@@ -176,31 +165,25 @@ def test_make_server_dispatch():
 
 
 # ----------------------------------------------------------------------
-# End-to-end: both routing modes, bit-identical to the offline oracle
+# End-to-end: bit-identical to the offline oracle
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("routing", ["handoff", "reuseport"])
-def test_sharded_end_to_end_bit_identity(serve_logs, offline, routing):
-    if routing == "reuseport" and not hasattr(socket, "SO_REUSEPORT"):
-        pytest.skip("no SO_REUSEPORT on this platform")
+def test_sharded_end_to_end_bit_identity(serve_logs, offline):
     scripts = _scripts(serve_logs, [f"ue-{i:02d}" for i in range(6)])
-    config = ServerConfig(batched=True, shards=2, routing=routing)
+    config = ServerConfig(batched=True, shards=2)
     pid, port = spawn_server(config)
     try:
         result = run_load(port, scripts, collect=True)
     finally:
         exit_code = stop_server(pid)
-    assert exit_code == 0, f"{routing} controller did not shut down cleanly"
+    assert exit_code == 0, "controller did not shut down cleanly"
     _assert_bit_identity(result, scripts, offline)
-    shards_seen = {result.byes[s.session_id].get("shard") for s in scripts}
-    assert shards_seen <= {0, 1} and None not in shards_seen
-    if routing == "handoff":
-        # Consistent hashing pins each session to its computed shard.
-        for script in scripts:
-            assert result.byes[script.session_id]["shard"] == shard_for_session(
-                script.session_id, 2
-            )
+    # Consistent hashing pins each session to its computed shard.
+    for script in scripts:
+        assert result.byes[script.session_id]["shard"] == shard_for_session(
+            script.session_id, 2
+        )
 
 
 def test_uneven_distribution_still_completes(serve_logs, offline):
@@ -209,7 +192,7 @@ def test_uneven_distribution_still_completes(serve_logs, offline):
     skewed = [f"skew-{i}" for i in range(40) if shard_for_session(f"skew-{i}", 2) == 0]
     assert len(skewed) >= 4
     scripts = _scripts(serve_logs, skewed[:5])
-    config = ServerConfig(batched=True, shards=2, routing="handoff")
+    config = ServerConfig(batched=True, shards=2)
     pid, port = spawn_server(config)
     try:
         result = run_load(port, scripts, collect=True)
@@ -277,7 +260,7 @@ def test_killed_shard_respawns_and_siblings_stay_bit_identical(
         )
         survivor = build_script(serve_logs[0], survivor_sid, EVENT_CONFIGS)
         replacement = build_script(serve_logs[1], victim_sid, EVENT_CONFIGS)
-        config = ServerConfig(batched=True, shards=2, routing="handoff")
+        config = ServerConfig(batched=True, shards=2)
         async with ShardedPrognosServer(config) as server:
             victim_shard = server._shards[1]
             old_pid = victim_shard.pid
@@ -329,7 +312,7 @@ def test_handoff_resync_after_stopped_shard_killed(serve_logs):
             f"sync-{i}" for i in range(100) if shard_for_session(f"sync-{i}", 2) == 1
         )
         script = build_script(serve_logs[0], sid, EVENT_CONFIGS)
-        config = ServerConfig(batched=True, shards=2, routing="handoff")
+        config = ServerConfig(batched=True, shards=2)
         async with ShardedPrognosServer(config) as server:
             shard = server._shards[1]
             os.kill(shard.pid, signal.SIGSTOP)
@@ -361,9 +344,7 @@ def test_shard_degrades_alone_past_restart_budget(serve_logs, offline):
     that shard alone; the sibling keeps its micro-batch engine."""
 
     async def main():
-        config = ServerConfig(
-            batched=True, shards=2, routing="handoff", shard_restarts=0
-        )
+        config = ServerConfig(batched=True, shards=2, shard_restarts=0)
         async with ShardedPrognosServer(config) as server:
             shard = server._shards[1]
             old_pid = shard.pid
@@ -393,9 +374,197 @@ def test_shard_degrades_alone_past_restart_budget(serve_logs, offline):
     asyncio.run(main())
 
 
+async def _open(port, message):
+    """Connect and send one handshake frame; returns (reader, writer,
+    the server's first reply)."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(protocol.frame(protocol.encode_json(message)))
+    await writer.drain()
+    return reader, writer, protocol.decode_json(await protocol.read_frame(reader))
+
+
+def _resume(session_id, token, seq):
+    return {
+        "type": "resume",
+        "version": protocol.PROTOCOL_VERSION,
+        "session": session_id,
+        "token": token,
+        "seq": seq,
+    }
+
+
+def test_resume_returns_to_owner_shard(serve_logs, offline):
+    """A session dropped mid-stream without a bye resumes on the shard
+    that served it: the hash sends the resume back to its slot, the
+    shard claims its exported state from the controller's orphan pool,
+    and the journalled tail replays byte for byte."""
+
+    async def main():
+        script = build_script(serve_logs[0], "affine-0", EVENT_CONFIGS)
+        cut = script.n_ticks // 2
+        seen = cut - 3  # the client "missed" the last three predictions
+        async with ShardedPrognosServer(ServerConfig(batched=True, shards=2)) as server:
+            reader, writer, welcome = await _open(server.port, script.hello)
+            originals = []
+            for buf, _off in script.steps[:cut]:
+                writer.write(bytes(buf))
+                await writer.drain()
+                originals.append(await protocol.read_frame(reader))
+            writer.transport.abort()  # no bye: the shard parks and exports
+            await _poll(lambda: script.session_id in server._orphans)
+
+            resume = _resume(script.session_id, welcome["resume"], seen)
+            reader, writer, resumed = await _open(server.port, resume)
+            assert resumed["type"] == "welcome" and resumed["resumed"]
+            assert resumed["seq"] == cut
+            assert resumed["shard"] == welcome["shard"]
+            assert welcome["shard"] == shard_for_session(script.session_id, 2)
+            tail = [await protocol.read_frame(reader) for _ in range(cut - seen)]
+            assert tail == originals[seen:]
+
+            predictions = [tuple(protocol.decode_prediction(p)[:2]) for p in originals]
+            for buf, _off in script.steps[cut:]:
+                writer.write(bytes(buf))
+                await writer.drain()
+                payload = await protocol.read_frame(reader)
+                predictions.append(tuple(protocol.decode_prediction(payload)[:2]))
+            writer.write(protocol.frame(b"B"))
+            await writer.drain()
+            bye = protocol.decode_json(await protocol.read_frame(reader))
+            assert bye["shard"] == welcome["shard"] and bye["resumes"] == 1
+            assert bye["answered"] == script.n_ticks and bye["lost"] == 0
+            writer.close()
+            stats = await server.stats()
+        assert predictions == offline[0]
+        assert stats["orphans_claimed"] == 1 and stats["resumed"] == 1
+
+    asyncio.run(main())
+
+
+def test_forged_resume_misses_and_leaves_orphan_parked(serve_logs):
+    """A resume that cannot prove ownership is refused as a resume miss
+    and leaves the parked session banked: its owner's token still
+    resumes it afterwards."""
+
+    async def main():
+        script = build_script(serve_logs[1], "parked-0", EVENT_CONFIGS)
+        cut = script.n_ticks // 2
+        async with ShardedPrognosServer(ServerConfig(batched=True, shards=2)) as server:
+            reader, writer, welcome = await _open(server.port, script.hello)
+            token = welcome["resume"]
+            for buf, _off in script.steps[:cut]:
+                writer.write(bytes(buf))
+                await writer.drain()
+                assert (await protocol.read_frame(reader))[:1] == b"P"
+            writer.transport.abort()
+            await _poll(lambda: script.session_id in server._orphans)
+
+            for bad in (
+                _resume(script.session_id, "0" * len(token), cut),  # forged token
+                _resume("never-parked", token, cut),  # nobody exported it
+            ):
+                _r, w, reply = await _open(server.port, bad)
+                assert reply["type"] == "error" and reply["code"] == "resume-miss"
+                w.close()
+            assert script.session_id in server._orphans
+            assert server.orphans_claimed == 0
+
+            _r, w, resumed = await _open(
+                server.port, _resume(script.session_id, token, cut)
+            )
+            assert resumed["type"] == "welcome" and resumed["resumed"]
+            assert resumed["seq"] == cut
+            w.close()
+            stats = await server.stats()
+        assert stats["resume_misses"] == 2 and stats["orphans_claimed"] == 1
+
+    asyncio.run(main())
+
+
+class _ControlSink:
+    """Stands in for a shard's control writer; keeps each reply."""
+
+    def __init__(self):
+        self.replies = []
+
+    def write(self, line: bytes) -> None:
+        self.replies.append(json.loads(line))
+
+
+def _claim(server, session_id, token):
+    shard = SimpleNamespace(control_writer=_ControlSink())
+    message = {"t": "claim", "id": 7, "session": session_id, "token": token}
+    server._answer_claim(shard, message)
+    (reply,) = shard.control_writer.replies
+    assert reply["t"] == "state" and reply["id"] == 7
+    return reply["blob"]
+
+
+def test_claim_answers_from_pool_or_misses():
+    """The controller hands a parked session out once, and only for its
+    own token; a forged or missing token, or an unknown id, misses
+    without touching the pool."""
+    server = ShardedPrognosServer(ServerConfig(shards=2))
+    server._store_orphan(
+        {"t": "export", "session": "ue-1", "token": "a" * 32, "blob": "YmxvYg=="}
+    )
+    assert _claim(server, "ue-1", "b" * 32) is None
+    assert _claim(server, "ue-1", None) is None
+    assert _claim(server, "ue-2", "a" * 32) is None
+    assert list(server._orphans) == ["ue-1"] and server.orphans_claimed == 0
+    assert _claim(server, "ue-1", "a" * 32) == "YmxvYg=="
+    assert not server._orphans and server.orphans_claimed == 1
+    assert _claim(server, "ue-1", "a" * 32) is None
+
+
+def test_orphan_pool_is_bounded_fifo(monkeypatch):
+    """Past ORPHAN_POOL_MAX the oldest parked session is dropped and
+    counted; a re-export replaces its entry at the young end; a
+    malformed export is ignored."""
+    import repro.serve.shard as shard_mod
+
+    monkeypatch.setattr(shard_mod, "ORPHAN_POOL_MAX", 3)
+    server = ShardedPrognosServer(ServerConfig(shards=2))
+    for sid in ("a", "b", "c"):
+        server._store_orphan({"session": sid, "token": f"t-{sid}", "blob": "eA=="})
+    server._store_orphan({"session": "a", "token": "t-a2", "blob": "eQ=="})
+    assert server.orphans_dropped == 0
+    server._store_orphan({"session": "d", "token": "t-d", "blob": "eA=="})
+    assert list(server._orphans) == ["c", "a", "d"]
+    assert server._orphans["a"] == ("t-a2", "eQ==")
+    assert server.orphans_dropped == 1
+    server._store_orphan({"session": "e", "token": 7, "blob": "eA=="})
+    server._store_orphan({"session": "e", "token": "t-e"})
+    assert list(server._orphans) == ["c", "a", "d"]
+    assert server.orphans_dropped == 1
+
+
 # ----------------------------------------------------------------------
 # Daemon teardown: a wedged or orphaned server can never leak
 # ----------------------------------------------------------------------
+
+#: What a shard printed on fd 2 when a SIGTERM raced its teardown.
+TEARDOWN_NOISE = (
+    "Task was destroyed but it is pending",
+    "was never awaited",
+    "signal wakeup fd",
+)
+
+
+def test_sharded_daemon_stops_quietly(capfd):
+    """Spawn/stop cycles of an idle 2-shard daemon exit 0 and print
+    nothing from the shards: a shard that reported drained exits
+    unsignalled, and a signalled shard unhooks SIGTERM before its loop
+    closes. The first cycles stop the daemon the moment spawn_server
+    returns, which must find its SIGTERM handler already installed."""
+    for cycle in range(12):
+        pid, _port = spawn_server(ServerConfig(shards=2))
+        if cycle >= 4:
+            time.sleep(0.2)  # let the shards settle idle
+        assert stop_server(pid) == 0
+    err = capfd.readouterr().err
+    for message in TEARDOWN_NOISE:
+        assert message not in err, err
 
 
 def test_stop_server_escalates_to_sigkill():
@@ -426,7 +595,7 @@ def test_stop_server_escalates_to_sigkill():
 def test_client_death_mid_handshake_leaves_no_orphans():
     """A client that connects, half-sends a hello, and vanishes must not
     wedge teardown: stop_server reaps the whole daemon tree."""
-    config = ServerConfig(batched=True, shards=2, routing="handoff")
+    config = ServerConfig(batched=True, shards=2)
     pid, port = spawn_server(config)
     try:
         sock = socket.create_connection(("127.0.0.1", port))
