@@ -18,14 +18,20 @@ independent (dataset, method) cells of Table 3 evaluate in parallel.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.bootstrap import frequent_patterns_from_logs
+from repro.core.forecast_kernel import (
+    add_windows,
+    config_meta,
+    forecast_reports,
+    gate,
+)
 from repro.core.patterns import Pattern
 from repro.core.prognos import Prognos, PrognosConfig
-from repro.core.report_predictor import ReportPredictor
 from repro.core.rrs_predictor import RRSPredictor
 from repro.ml.features import (
     LabeledDataset,
@@ -217,6 +223,11 @@ def _replay_plan_star(args: tuple) -> _ReplayPlan:
     return _replay_plan(*args)
 
 
+#: Steps per forecast kernel call in :func:`_forecast_steps`: bounds the
+#: windows and per-step trigger rows held at once, whatever the log length.
+_BLOCK_STEPS = 256
+
+
 def _forecast_steps(
     plan: _ReplayPlan,
     event_configs: list[EventConfig],
@@ -226,35 +237,48 @@ def _forecast_steps(
 
     The report-predictor stage of :meth:`Prognos.step` is a pure
     function of the log's RSRP stream (the learner never feeds back
-    into it), so it can run per log, batched, and in parallel across
-    logs. A fresh RRS/report predictor per log reproduces exactly what
-    the streaming instance holds after its per-log :meth:`start_log`
-    reset.
+    into it), so it runs per log, in parallel across logs. A fresh
+    :class:`RRSPredictor` per log holds exactly the histories the
+    streaming instance holds after its per-log :meth:`Prognos.start_log`
+    reset; each step observes into it, gates the configs and takes one
+    window per needed cell, and every block of steps is forecast and
+    scanned in one kernel call
+    (:func:`~repro.core.forecast_kernel.forecast_reports`). Each step
+    gets the ``(label, fire_in_s)`` list
+    :meth:`ReportPredictor.predict_reports` would have returned.
     """
     config = config or PrognosConfig()
     if not config.use_report_predictor:
         return [[] for _ in plan.step_inputs]
+    meta = config_meta(event_configs)
     rrs = RRSPredictor(
         history_window_ticks=config.history_window_ticks,
         smoother_window=config.smoother_window,
     )
-    predictor = ReportPredictor(
-        event_configs,
-        rrs,
-        prediction_window_s=config.prediction_window_s,
-    )
+    step_times = plan.step_times.tolist()
     forecasts: list[list[tuple[str, float]]] = []
-    for now, inputs in zip(plan.step_times, plan.step_inputs):
-        rsrp, serving, neighbours, scoped = inputs
-        predictor.observe(now, rsrp)
-        forecasts.append(
-            [
-                (report.label, report.fire_in_s)
-                for report in predictor.predict_reports_batched(
-                    serving, neighbours, scoped
-                )
-            ]
-        )
+    for lo in range(0, len(step_times), _BLOCK_STEPS):
+        actives: list[list] = []
+        row_ofs: list[dict] = []
+        times, values, lengths = array("d"), array("d"), []
+        for now, (rsrp, serving, neighbours, scoped) in zip(
+            step_times[lo : lo + _BLOCK_STEPS], plan.step_inputs[lo : lo + _BLOCK_STEPS]
+        ):
+            rrs.observe(now, rsrp)
+            active, cells = gate(meta, serving, neighbours, scoped)
+            actives.append(active)
+            row_ofs.append(add_windows(cells, rrs._cells, times, values, lengths))
+        for reports in forecast_reports(
+            event_configs,
+            actives,
+            row_ofs,
+            times,
+            values,
+            lengths,
+            config.smoother_window,
+            config.prediction_window_s,
+        ):
+            forecasts.append([(label, fire) for label, fire, _cell in reports])
     return forecasts
 
 

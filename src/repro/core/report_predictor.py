@@ -7,6 +7,11 @@ The report predictor instead replays the carrier's event trigger logic
 a future report whenever a trigger condition is forecast to hold for
 TTT within the prediction window. That buys Prognos ~931 ms of lead
 time at ~1.2% accuracy cost (Fig. 18).
+
+:meth:`ReportPredictor.predict_reports` is the scalar oracle, one tick
+at a time. The offline replay and the server run the same forecast
+batched in :mod:`repro.core.forecast_kernel`, bit for bit;
+:meth:`ReportPredictor.predict_reports_batched` is one step of it.
 """
 
 from __future__ import annotations
@@ -15,6 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.forecast_kernel import (
+    FORECAST_STEPS,
+    SLOPE_SHRINKAGE,
+    config_meta,
+    forecast_histories,
+    gate,
+)
 from repro.core.rrs_predictor import RRSPredictor
 from repro.rrc.events import EventConfig, EventType, MeasurementObject
 
@@ -37,7 +49,7 @@ class ReportPredictor:
         predictor: RRSPredictor | None = None,
         *,
         prediction_window_s: float = 1.0,
-        steps: int = 4,
+        steps: int = FORECAST_STEPS,
         margin_db: float = 0.0,
     ):
         if not configs:
@@ -49,17 +61,7 @@ class ReportPredictor:
         self._window_s = prediction_window_s
         self._steps = steps
         self._margin_db = margin_db
-        # Static per-config facts, hoisted out of the per-tick batched
-        # path: (config, event, needs_neighbour, scoped?).
-        self._config_meta = [
-            (
-                config,
-                config.event,
-                config.event.needs_neighbour,
-                config.intra_node_only or config.intra_frequency_only,
-            )
-            for config in self._configs
-        ]
+        self._config_meta = config_meta(self._configs)
 
     def observe(self, time_s: float, rsrp_by_cell: dict[object, float]) -> None:
         """Feed one tick of raw RSRP measurements."""
@@ -132,111 +134,27 @@ class ReportPredictor:
         neighbours: dict[MeasurementObject, list[object]],
         scoped_neighbours: dict[MeasurementObject, list[object]] | None = None,
     ) -> list[PredictedReport]:
-        """Batched :meth:`predict_reports`: identical reports, same order.
+        """:meth:`predict_reports` as one step of the forecast kernel.
 
-        One :meth:`RRSPredictor.predict_many` fan-out covers every cell
-        any config needs, then each neighbour event evaluates its
-        trigger condition over a candidate matrix. Condition arithmetic
-        keeps the scalar op order (comparisons are exact, so identical
-        floats give identical booleans) and the sustained-run scan fires
-        at the same step, so the report list is bitwise-identical.
+        Same reports, same order; the kernel covers the default slope
+        shrinkage, steps and margin, and anything else takes the scalar
+        path.
         """
-        step_s = self._window_s / self._steps
-        steps = self._steps
-
-        # Pass 1: configuration gating + the union of cells to forecast.
-        active: list[tuple[EventConfig, EventType, bool, object | None, list[object]]] = []
-        cells: list[object] = []
-        seen: set[object] = set()
-        for config, event, needs_neighbour, scoping in self._config_meta:
-            serving_cell = serving.get(config.measurement)
-            if (config.needs_serving and serving_cell is None) or (
-                config.only_when_detached and serving_cell is not None
-            ):
-                continue
-            if needs_neighbour:
-                if scoping and scoped_neighbours is not None:
-                    candidates = scoped_neighbours.get(config.measurement, [])
-                else:
-                    candidates = neighbours.get(config.measurement, [])
-            else:
-                candidates = []
-            active.append((config, event, needs_neighbour, serving_cell, candidates))
-            if serving_cell is not None and serving_cell not in seen:
-                seen.add(serving_cell)
-                cells.append(serving_cell)
-            for cell in candidates:
-                if cell not in seen:
-                    seen.add(cell)
-                    cells.append(cell)
-        if not active:
-            return []
-        forecasts = self.rrs.predict_many(cells, self._window_s, steps)
-
-        neg_inf: np.ndarray | None = None
-        margin = self._margin_db
-        reports: list[PredictedReport] = []
-        for config, event, needs_neighbour, serving_cell, candidates in active:
-            serving_series = (
-                forecasts.get(serving_cell) if serving_cell is not None else None
-            )
-            if needs_neighbour:
-                cand_cells = [c for c in candidates if forecasts.get(c) is not None]
-                if not cand_cells:
-                    continue
-                hys = config.hysteresis_db + margin
-                needed = int(np.ceil(config.time_to_trigger_s / step_s))
-                if needed < 1:
-                    needed = 1
-                if needed > steps:
-                    # The condition can never hold long enough inside
-                    # the window (the scalar scan never fires either).
-                    continue
-                matrix = np.vstack([forecasts[c] for c in cand_cells])
-                if serving_series is None:
-                    if neg_inf is None:
-                        neg_inf = np.full(steps, float("-inf"))
-                    s = neg_inf
-                else:
-                    s = serving_series
-                if event is EventType.A3:
-                    # serving + offset + hys, left to right as _condition.
-                    thresh = (s + config.offset_db) + hys
-                    cond = matrix > thresh[None, :]
-                elif event is EventType.A5:
-                    serving_ok = (s + hys) < config.threshold_dbm
-                    cond = serving_ok[None, :] & ((matrix - hys) > config.threshold2_dbm)
-                else:  # A4 / B1
-                    cond = (matrix - hys) > config.threshold_dbm
-                # ok[:, j] == "condition held over steps j..j+needed-1",
-                # so the first True column is the scalar scan's first
-                # sustained trigger; it fires at step j+needed.
-                if needed == 1:
-                    ok = cond
-                else:
-                    ok = cond[:, needed - 1 :].copy()
-                    for d in range(1, needed):
-                        ok &= cond[:, needed - 1 - d : steps - d]
-                hit = ok.any(axis=1)
-                if hit.any():
-                    first = ok.argmax(axis=1)
-                    for idx, cell in enumerate(cand_cells):
-                        if hit[idx]:
-                            reports.append(
-                                PredictedReport(
-                                    config.label,
-                                    (int(first[idx]) + needed) * step_s,
-                                    cell,
-                                )
-                            )
-            else:
-                if serving_series is None:
-                    continue
-                fire = self._first_sustained_trigger(config, serving_series, None, step_s)
-                if fire is not None:
-                    reports.append(PredictedReport(config.label, fire, None))
-        reports.sort(key=lambda r: r.fire_in_s)
-        return reports
+        if (self._steps, self._margin_db, self.rrs._slope_shrinkage) != (
+            FORECAST_STEPS,
+            0.0,
+            SLOPE_SHRINKAGE,
+        ):
+            return self.predict_reports(serving, neighbours, scoped_neighbours)
+        plan = gate(self._config_meta, serving, neighbours, scoped_neighbours)
+        (reports,) = forecast_histories(
+            self._configs,
+            [plan],
+            [self.rrs._cells],
+            self.rrs._smoother.window,
+            self._window_s,
+        )
+        return [PredictedReport(label, fire, cell) for label, fire, cell in reports]
 
     def _first_sustained_trigger(
         self,

@@ -6,8 +6,12 @@ regression over time, and extrapolate the next prediction window. This
 is deliberately light-weight — the paper picks linear regression so the
 system can run on energy-constrained UEs in real time.
 
-The fit uses closed-form rolling sums (O(1) per prediction after O(w)
-updates), so streaming over hours of 20 Hz logs stays cheap.
+:meth:`RRSPredictor.predict` is the scalar oracle: it smooths and fits
+one cell's history per call. The offline replay and the server keep
+their histories here too, but fit every needed cell of a block of steps
+or a micro-batch at once with :func:`repro.core.forecast_kernel.fit`,
+which returns the same floats; the defaults here (stale eviction, slope
+shrinkage) are the kernel's.
 """
 
 from __future__ import annotations
@@ -17,22 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.forecast_kernel import SLOPE_SHRINKAGE, STALE_AFTER_S
 from repro.core.smoothing import TriangularKernelSmoother
-
-#: Shared (horizon_s, steps) -> linspace grid cache: the future-time
-#: grid is a pure function of its arguments, and the streaming loop
-#: asks for the same one thousands of times.
-_FUTURE_GRIDS: dict[tuple[float, int], np.ndarray] = {}
-
-
-def _future_grid(horizon_s: float, steps: int) -> np.ndarray:
-    key = (horizon_s, steps)
-    grid = _FUTURE_GRIDS.get(key)
-    if grid is None:
-        grid = np.linspace(horizon_s / steps, horizon_s, steps)
-        grid.setflags(write=False)
-        _FUTURE_GRIDS[key] = grid
-    return grid
 
 
 @dataclass
@@ -66,8 +56,8 @@ class RRSPredictor:
         self,
         history_window_ticks: int = 20,
         smoother_window: int = 8,
-        stale_after_s: float = 1.5,
-        slope_shrinkage: float = 0.75,
+        stale_after_s: float = STALE_AFTER_S,
+        slope_shrinkage: float = SLOPE_SHRINKAGE,
     ):
         if history_window_ticks < 4:
             raise ValueError("history window too short for a regression")
@@ -141,40 +131,3 @@ class RRSPredictor:
         stale-eviction clock restarts too, so it never fires).
         """
         self._cells.clear()
-
-    def predict_many(
-        self, cells: list[object], horizon_s: float, steps: int = 4
-    ) -> dict[object, np.ndarray | None]:
-        """Batched :meth:`predict` over ``cells`` (same floats per cell).
-
-        Uses the smoother's precomputed-tail path and a shared
-        future-time grid; every per-cell fit keeps the exact op order
-        of :meth:`predict`, so results are bitwise-identical.
-        """
-        future = _future_grid(horizon_s, steps)
-        out: dict[object, np.ndarray | None] = {}
-        smooth = self._smoother.smooth_series_fast
-        shrink = self._slope_shrinkage
-        for cell in cells:
-            history = self._cells.get(cell)
-            if history is None or len(history.values_dbm) < 4:
-                out[cell] = None
-                continue
-            times = np.array(history.times_s, dtype=float)
-            values = smooth(np.array(history.values_dbm, dtype=float))
-            t_rel = times - times[-1]
-            n = t_rel.size
-            sum_t = t_rel.sum()
-            sum_tt = float(np.dot(t_rel, t_rel))
-            sum_v = values.sum()
-            sum_tv = float(np.dot(t_rel, values))
-            denom = n * sum_tt - sum_t * sum_t
-            if abs(denom) < 1e-12:
-                slope = 0.0
-                intercept = float(values.mean())
-            else:
-                slope = (n * sum_tv - sum_t * sum_v) / denom
-                intercept = (sum_v - slope * sum_t) / n
-            slope *= shrink
-            out[cell] = intercept + slope * future
-        return out

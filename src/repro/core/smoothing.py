@@ -5,6 +5,10 @@ would wreck a linear extrapolation. Prognos smooths each cell's series
 with a trailing triangular kernel — weights rise linearly towards the
 newest sample, so the smoother tracks trends with little lag while
 averaging fading away.
+
+:meth:`TriangularKernelSmoother.smooth_series` is the scalar oracle;
+:func:`repro.core.forecast_kernel.smooth` smooths many windows at once
+with stacked ``matmul`` dots and returns the same floats.
 """
 
 from __future__ import annotations
@@ -21,13 +25,6 @@ class TriangularKernelSmoother:
         self.window = window
         # Weights for the newest `window` samples, oldest first: 1..window.
         self._weights = np.arange(1, window + 1, dtype=float)
-        # Per-size (weight tail, norm) pairs, size 1..window. The norm is
-        # the same float ``smooth_series`` recomputes per position, so
-        # :meth:`smooth_series_fast` stays bitwise-identical.
-        self._tails = [
-            (self._weights[-size:], float(self._weights[-size:].sum()))
-            for size in range(1, window + 1)
-        ]
 
     def smooth_last(self, values: np.ndarray) -> float:
         """Smoothed value at the end of ``values`` (uses the trailing window)."""
@@ -49,23 +46,4 @@ class TriangularKernelSmoother:
             tail = values[start : i + 1]
             weights = self._weights[-tail.size :]
             out[i] = np.dot(tail, weights) / weights.sum()
-        return out
-
-    def smooth_series_fast(self, values: np.ndarray) -> np.ndarray:
-        """Bitwise-identical :meth:`smooth_series` on precomputed tails.
-
-        Keeps the per-position ``np.dot`` kernel (a batched matmul sums
-        in a different order and drifts by ulps) but hoists the weight
-        slicing and norm out of the loop.
-        """
-        values = np.asarray(values, dtype=float)
-        if values.size == 0:
-            raise ValueError("cannot smooth an empty series")
-        out = np.empty_like(values)
-        window = self.window
-        tails = self._tails
-        for i in range(values.size):
-            size = i + 1 if i < window else window
-            weights, norm = tails[size - 1]
-            out[i] = np.dot(values[i + 1 - size : i + 1], weights) / norm
         return out

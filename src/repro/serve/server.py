@@ -1116,3 +1116,9 @@ class PrognosServer:
                     levels[k] = level
             for k, (state, time_s, prediction) in enumerate(outputs):
                 self._deliver_prediction(state, time_s, prediction, levels.get(k, -1))
+            if requeue:
+                # collect() does not suspend while requeued ticks wait,
+                # so yield once: other sessions' readers enqueue now and
+                # their ticks join the next pass instead of waiting out
+                # this session's backlog.
+                await asyncio.sleep(0)

@@ -112,9 +112,9 @@ class ServingSession:
     def begin_tick(self, time_s, rsrp, serving, neighbours, scoped):
         """Batched front half: RRS observe + config gating.
 
-        Returns the :class:`~repro.serve.forecast.TickPlan` the engine
-        feeds to :func:`~repro.serve.forecast.forecast_batch` alongside
-        every other ready session's.
+        Returns the tick's gating plan, which the engine feeds to
+        :func:`~repro.serve.forecast.forecast_batch` alongside every
+        other ready session's.
         """
         self.forecaster.observe(time_s, rsrp)
         return self.forecaster.prepare(serving, neighbours, scoped)

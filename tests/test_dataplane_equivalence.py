@@ -14,6 +14,7 @@ import pytest
 
 from repro.apps.abr.algorithms import RateBased
 from repro.apps.abr.player import PlayJob, play_many, _play_job
+from repro.core import forecast_kernel
 from repro.core.evaluation import (
     PrognosConfig,
     configs_for_log,
@@ -274,18 +275,26 @@ class TestPrognosEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# Batched smoothing vs the per-call loop
+# Kernel smoothing vs the per-call loop
 # ---------------------------------------------------------------------------
 
 
 class TestSmoothingEquivalence:
-    @pytest.mark.parametrize("window", [1, 3, 8])
+    @pytest.mark.parametrize("window", [1, 3, 8, 16])
     def test_fast_series_is_bitwise_identical(self, window):
+        """The forecast kernel's stacked smoothing equals
+        ``smooth_series`` on every row, for windows shorter and longer
+        than the kernel and for every clamped prefix length."""
         smoother = TriangularKernelSmoother(window=window)
-        values = np.random.default_rng(31).normal(-95.0, 7.0, 200)
-        fast = smoother.smooth_series_fast(values)
-        slow = smoother.smooth_series(values)
-        assert np.array_equal(fast, slow)
+        rng = np.random.default_rng(31)
+        for n in (1, 2, 5, window - 1, window, window + 1, 20, 200):
+            if n < 1:
+                continue
+            rows = rng.normal(-95.0, 7.0, size=(9, n))
+            fast = forecast_kernel.smooth(rows, window)
+            for r in range(rows.shape[0]):
+                slow = smoother.smooth_series(rows[r].copy())
+                assert np.array_equal(fast[r], slow), (n, r)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
-"""Streaming forecaster equivalence: bit-identity with the per-session
-report predictor, across staggered multi-session cohorts and resets."""
+"""Streaming forecaster equivalence: bit-identity with the scalar report
+predictor, across staggered multi-session cohorts and resets, plus the
+float-level pins of the forecast kernel underneath it."""
 
 from __future__ import annotations
+
+from array import array
 
 import numpy as np
 import pytest
 
+from repro.core import forecast_kernel
 from repro.core.evaluation import _replay_plan, configs_for_log
 from repro.core.prognos import PrognosConfig
 from repro.core.report_predictor import ReportPredictor
@@ -29,7 +33,7 @@ def _forecasts(predictor, inputs):
     _, serving, neighbours, scoped = inputs
     return [
         (r.label, r.fire_in_s)
-        for r in predictor.predict_reports_batched(serving, neighbours, scoped)
+        for r in predictor.predict_reports(serving, neighbours, scoped)
     ]
 
 
@@ -101,18 +105,85 @@ def test_staggered_cohort_with_midstream_reset(freeway_low_log):
 
 
 def test_row_sum_matches_1d_sum():
-    """Pin the BLAS assumption _fit_group leans on: a C-contiguous
-    row-wise ``.sum(axis=1)`` must equal each row's 1-D ``.sum()``
+    """Pin the reduction the forecast kernel leans on: ``.sum(axis=1)``
+    over C-contiguous rows, and over the even-stride rows the kernel
+    aligns its dot operands with, must equal each row's 1-D ``.sum()``
     bitwise. If a BLAS/numpy upgrade breaks this, the batched fit must
     go back to per-row sums."""
     rng = np.random.default_rng(7)
-    for rows, cols in ((3, 5), (17, 16), (64, 20)):
+    for rows, cols in ((3, 5), (17, 16), (64, 20), (9, 19)):
         matrix = np.ascontiguousarray(rng.normal(-90.0, 7.0, size=(rows, cols)))
-        batched = matrix.sum(axis=1)
-        singly = np.array([matrix[r].sum() for r in range(rows)])
-        assert all(
-            batched[r] == singly[r] for r in range(rows)
-        ), "row-wise sum is no longer bitwise-identical to 1-D sum"
+        padded = forecast_kernel._aligned_rows(rows, cols)
+        padded[:] = matrix
+        singly = np.array([matrix[r].copy().sum() for r in range(rows)])
+        for batched in (matrix.sum(axis=1), padded.sum(axis=1)):
+            assert all(
+                batched[r] == singly[r] for r in range(rows)
+            ), "row-wise sum is no longer bitwise-identical to 1-D sum"
+
+
+def test_stacked_matmul_matches_per_row_dot():
+    """Pin the kernel's dot rule: ``np.matmul(x[:, None, :], y)`` with a
+    unit-stride summed axis runs each row through the same ``ddot`` as
+    ``np.dot`` on that row, for every length the kernel uses and in each
+    operand layout it uses: gathered rows and strided row slices of a
+    wider matrix against one shared weight tail (sliced off a longer
+    weight vector, as the smoother slices it), and row-by-row pairs
+    against even-stride rows."""
+    rng = np.random.default_rng(11)
+    wide = rng.normal(-90.0, 7.0, size=(257, 27))
+    weights = np.arange(1, 21, dtype=float)
+    for n in range(1, 21):
+        tail = weights[20 - n :]
+        gathered = wide[rng.integers(0, wide.shape[0], 300)][:, :n]
+        sliced = wide[:, 3 : 3 + n]
+        other = forecast_kernel._aligned_rows(gathered.shape[0], n)
+        other[:] = rng.normal(0.0, 3.0, size=other.shape)
+        cases = (
+            (gathered, tail[:, None], lambda r: np.dot(gathered[r], tail)),
+            (sliced, tail[:, None], lambda r: np.dot(sliced[r], tail)),
+            (gathered, other[:, :, None], lambda r: np.dot(gathered[r], other[r])),
+        )
+        for x, y, single in cases:
+            stacked = np.matmul(x[:, None, :], y)[:, 0, 0]
+            assert all(
+                stacked[r] == single(r) for r in range(x.shape[0])
+            ), f"stacked matmul drifted from np.dot at length {n}"
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_kernel_forecasts_match_rrs_predict(freeway_low_log, mmwave_walk_log, stride):
+    """The kernel's 4-point forecast for every (step, cell) of a full
+    drive, all fitted in one call, is byte-equal to
+    :meth:`RRSPredictor.predict` on a predictor stepped through the same
+    log."""
+    config = PrognosConfig()
+    for log in (freeway_low_log, mmwave_walk_log):
+        plan = _replay_plan(log, 1.0, stride)
+        rrs = RRSPredictor(
+            history_window_ticks=config.history_window_ticks,
+            smoother_window=config.smoother_window,
+        )
+        times, values, lengths, expected = array("d"), array("d"), [], []
+        for now, inputs in zip(plan.step_times, plan.step_inputs):
+            rrs.observe(now, inputs[0])
+            cells = rrs.known_cells()
+            row_of = forecast_kernel.add_windows(cells, rrs._cells, times, values, lengths)
+            for cell in cells:
+                forecast = rrs.predict(cell, config.prediction_window_s)
+                assert (cell in row_of) == (forecast is not None)
+                if forecast is not None:
+                    expected.append(forecast)
+        forecasts = forecast_kernel.forecast_windows(
+            np.frombuffer(times),
+            np.frombuffer(values),
+            np.array(lengths, dtype=np.intp),
+            config.smoother_window,
+            config.prediction_window_s,
+        )
+        assert len(expected) > 4 * len(plan.step_times)
+        assert len(set(lengths)) > 10  # warm-up lengths too
+        assert forecasts[:-1].tobytes() == np.array(expected).tobytes()
 
 
 def test_forecast_batch_warmup_returns_none():

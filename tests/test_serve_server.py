@@ -7,7 +7,7 @@ import asyncio
 
 import pytest
 
-from repro.core.evaluation import configs_for_log, run_prognos_over_logs
+from repro.core.evaluation import _replay_plan, configs_for_log, run_prognos_over_logs
 from repro.radio.bands import BandClass
 from repro.ran import OPX
 from repro.rrc.events import MeasurementObject
@@ -20,7 +20,7 @@ from repro.serve.loadgen import (
 )
 from repro.serve.protocol import frame, read_frame
 from repro.serve.server import PrognosServer, ServerConfig, _Connection
-from repro.serve.session import SessionState
+from repro.serve.session import ServingSession, SessionState
 from repro.simulate.runner import run_drives
 from repro.simulate.scenarios import freeway_scenario
 
@@ -341,6 +341,65 @@ def test_engine_degrades_after_crash_budget():
             stats = server.stats()
             assert stats["degraded"] and stats["engine_restarts"] == 1
             writer.close()
+
+    asyncio.run(main())
+
+
+def test_backlog_passes_take_ticks_enqueued_meanwhile(serve_logs):
+    """Ticks another task enqueues while the engine works through one
+    session's backlog join the next pass. Session A's whole backlog is
+    queued at once; its first prediction schedules session B's ticks with
+    ``call_soon``. Each pass takes one tick per session, so from then on
+    every pass must carry one tick of each, and both streams must still
+    be the offline replay's."""
+    log = serve_logs[0]
+    plan = _replay_plan(log, 1.0, 1)
+    n = 120
+    offline = run_prognos_over_logs([log], EVENT_CONFIGS)
+    expected = [(float(t), p) for t, p in zip(offline.times_s, offline.predictions)][:n]
+
+    async def main():
+        async with PrognosServer(ServerConfig(batched=True)) as server:
+            states = {
+                sid: SessionState(sid, ServingSession(sid, EVENT_CONFIGS), token=sid)
+                for sid in ("a", "b")
+            }
+            streams = {sid: [] for sid in states}
+
+            def enqueue(state):
+                # What the reader does per frame, minus the socket.
+                events, e_idx = plan.events, 0
+                for pos in range(n):
+                    while e_idx < len(events) and events[e_idx][0] <= pos:
+                        _, kind, payload, event_time = events[e_idx]
+                        state.inbox.append(("R" if kind == 0 else "C", payload, event_time))
+                        e_idx += 1
+                    rsrp, serving, neighbours, scoped = plan.step_inputs[pos]
+                    tick = (plan.step_times[pos], rsrp, serving, neighbours, scoped)
+                    state.inbox.append(("T", tick + (False, 0.0, 0.0, 0)))
+                    state.pending += 1
+                    server._collector.put(state)
+
+            deliver = server._deliver_prediction
+
+            def spy(state, time_s, prediction, level):
+                stream = streams[state.session_id]
+                stream.append((float(time_s), prediction.ho_type))
+                if state.session_id == "a" and len(stream) == 1:
+                    asyncio.get_running_loop().call_soon(enqueue, states["b"])
+                deliver(state, time_s, prediction, level)
+
+            server._deliver_prediction = spy
+            enqueue(states["a"])
+            deadline = asyncio.get_running_loop().time() + 60.0
+            while len(streams["b"]) < n:
+                assert asyncio.get_running_loop().time() < deadline
+                await asyncio.sleep(0.01)
+            stats = server.stats()
+            assert stats["batch_ticks"] == 2 * n
+            assert stats["batch_ticks"] / stats["batches"] >= 1.8
+            assert streams["a"] == expected
+            assert streams["b"] == expected
 
     asyncio.run(main())
 
