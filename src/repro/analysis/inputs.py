@@ -26,10 +26,4 @@ def columnar_logs(logs) -> list[ColumnarLog]:
     """Resolve any supported input shape to packed columnar slices."""
     if isinstance(logs, CorpusView):
         return list(logs.iter_columnar())
-    resolved: list[ColumnarLog] = []
-    for log in logs:
-        if isinstance(log, DriveRef):
-            resolved.append(log.columnar())
-        else:
-            resolved.append(as_columnar(log))
-    return resolved
+    return [as_columnar(log) for log in logs]

@@ -37,9 +37,9 @@ from repro.ml.features import (
     LabeledDataset,
     build_location_sequence_dataset,
     build_radio_feature_dataset,
+    decision_labels,
     handover_events,
     label_for_tick,
-    labels_for_times,
     log_time_offsets,
     train_test_split_by_time,
     upsample_positives,
@@ -58,7 +58,8 @@ from repro.ran.carrier import CarrierProfile
 from repro.rrc.events import EventConfig, MeasurementObject
 from repro.rrc.taxonomy import HandoverType
 from repro.simulate import fanout
-from repro.simulate.corpus import CorpusView, resolve_log
+from repro.simulate.columnar import as_columnar
+from repro.simulate.corpus import CorpusView
 from repro.simulate.records import DriveLog, TickRecord
 from repro.simulate.runner import default_workers
 
@@ -190,37 +191,102 @@ class _ReplayPlan:
     duration_s: float
 
 
-def _replay_plan(log: DriveLog, window_s: float, stride: int) -> _ReplayPlan:
-    """Precompute the non-learner per-tick work for one log."""
-    tick_times = np.array([t.time_s for t in log.ticks])
-    reports = sorted(log.reports, key=lambda r: r.time_s)
-    commands = sorted(log.handovers, key=lambda h: h.exec_start_s)
-    events: list[tuple[int, int, object, float]] = []
-    if reports:
-        due = np.searchsorted(tick_times, [r.time_s for r in reports], side="left")
-        events.extend(
-            (int(tick), 0, r.label, r.time_s) for tick, r in zip(due, reports)
-        )
-    if commands:
-        due = np.searchsorted(tick_times, [c.exec_start_s for c in commands], side="left")
-        events.extend(
-            (int(tick), 1, c.ho_type, c.exec_start_s) for tick, c in zip(due, commands)
-        )
+def _due_events(
+    tick_times: np.ndarray, times: np.ndarray, kind: int, payloads: list
+) -> list[tuple[int, int, object, float]]:
+    """``(due tick, kind, payload, time)`` per event, in stable time order."""
+    order = np.argsort(times, kind="stable")
+    times = times[order]
+    due = np.searchsorted(tick_times, times, side="left")
+    return [
+        (tick, kind, payloads[i], when)
+        for tick, i, when in zip(due.tolist(), order.tolist(), times.tolist())
+    ]
+
+
+def _leg_steps(a: dict, leg: str, steps: slice) -> tuple[list, ...]:
+    """One leg's per-step columns: serving GCI (None when detached),
+    serving RSRP (None when detached or no RRS was reported), and the
+    neighbour GCIs, their RSRPs and the A3-scoped GCIs, each list cut
+    from the CSR neighbour arrays by slicing."""
+    gci = a[f"tick_{leg}_gci"][steps]
+    heard = ((gci != -1) & a[f"tick_{leg}_rrs_mask"][steps]).tolist()
+    serving = [None if g == -1 else g for g in gci.tolist()]
+    serving_rsrp = [
+        r if h else None for r, h in zip(a[f"tick_{leg}_rrs"][steps, 0].tolist(), heard)
+    ]
+    offsets = a[f"{leg}_nb_offsets"]
+    lo, hi = offsets[steps], offsets[1:][steps]
+    scope = a[f"{leg}_nb_scope"]
+    # Scoped entries before each flat neighbour index: the CSR offsets
+    # of the scoped-only GCI list.
+    scoped_offsets = np.concatenate(([0], np.cumsum(scope)))
+    cells = a[f"{leg}_nb_gci"].tolist()
+    rsrp = a[f"{leg}_nb_rrs"][:, 0].tolist()
+    scoped = a[f"{leg}_nb_gci"][scope].tolist()
+    spans = list(zip(lo.tolist(), hi.tolist()))
+    scoped_spans = zip(scoped_offsets[lo].tolist(), scoped_offsets[hi].tolist())
+    return (
+        serving,
+        serving_rsrp,
+        [cells[i:j] for i, j in spans],
+        [rsrp[i:j] for i, j in spans],
+        [scoped[i:j] for i, j in scoped_spans],
+    )
+
+
+def _replay_plan(log, window_s: float, stride: int) -> _ReplayPlan:
+    """Precompute the non-learner per-tick work for one log, from its columns.
+
+    ``log`` is anything :func:`~repro.simulate.columnar.as_columnar`
+    takes: a memory-mapped corpus slice or its
+    :class:`~repro.simulate.corpus.DriveRef` (read in place), or a
+    :class:`DriveLog` (its memoized packing). No tick object is built:
+    the per-step ``(rsrp, serving, neighbours, scoped)`` dicts come
+    from the serving-GCI and RRS columns (with their presence masks)
+    and the CSR neighbour arrays, with the key order
+    :func:`_tick_inputs` gives them from a :class:`TickRecord`.
+    """
+    clog = as_columnar(log)
+    a = clog.arrays
+    tick_times = a["tick_time_s"]
+    n = len(tick_times)
+    ho_types = clog.handover_types()
+    events = _due_events(
+        tick_times, a["report_time_s"], 0, a["report_label"].tolist()
+    ) + _due_events(tick_times, a["ho_exec_start_s"], 1, ho_types)
     # Stable: within a tick reports precede commands, each in time order.
     events.sort(key=lambda e: (e[0], e[1]))
-    step_indices = np.arange(0, len(log.ticks), stride)
-    step_times = tick_times[step_indices] if len(log.ticks) else np.empty(0)
-    step_inputs = [_tick_inputs(log.ticks[i]) for i in step_indices]
-    step_labels = labels_for_times(log, step_times, window_s)
     # Events due after the final tick are never drained (as in the
     # tick-by-tick reference); mark them unreachable.
-    events = [e for e in events if e[0] < len(log.ticks)]
-    return _ReplayPlan(events, step_times, step_inputs, step_labels, log.duration_s)
+    events = [e for e in events if e[0] < n]
 
-
-def _replay_plan_star(args: tuple) -> _ReplayPlan:
-    # Module-level so ProcessPoolExecutor can pickle it by reference.
-    return _replay_plan(*args)
+    steps = slice(0, n, stride)
+    step_times = np.array(tick_times[steps])
+    LTE, NR = MeasurementObject.LTE, MeasurementObject.NR
+    step_inputs = []
+    for (
+        lte, lte_rsrp, lte_cells, lte_cell_rsrp, lte_scoped,
+        nr, nr_rsrp, nr_cells, nr_cell_rsrp, nr_scoped,
+    ) in zip(*_leg_steps(a, "lte", steps), *_leg_steps(a, "nr", steps)):
+        rsrp: dict[object, float] = {}
+        if lte_rsrp is not None:
+            rsrp[lte] = lte_rsrp
+        if nr_rsrp is not None:
+            rsrp[nr] = nr_rsrp
+        rsrp.update(zip(lte_cells, lte_cell_rsrp))
+        rsrp.update(zip(nr_cells, nr_cell_rsrp))
+        step_inputs.append(
+            (
+                rsrp,
+                {LTE: lte, NR: nr},
+                {LTE: lte_cells, NR: nr_cells},
+                {LTE: lte_scoped, NR: nr_scoped},
+            )
+        )
+    step_labels = decision_labels(a["ho_decision_s"], ho_types, step_times, window_s)
+    duration_s = float(tick_times[-1] - tick_times[0]) if n else 0.0
+    return _ReplayPlan(events, step_times, step_inputs, step_labels, duration_s)
 
 
 #: Steps per forecast kernel call in :func:`_forecast_steps`: bounds the
@@ -287,10 +353,10 @@ def _plan_and_forecast_star(
 ) -> tuple[_ReplayPlan, list[list[tuple[str, float]]]]:
     # Module-level so ProcessPoolExecutor can pickle it by reference.
     # The log slot may be a corpus DriveRef — a (store_path, drive_id)
-    # pointer resolved here, in whichever process runs the job, so the
-    # spawn fallback ships bytes, not corpora.
+    # pointer whose slice the plan reads in whichever process runs the
+    # job, so the spawn fallback ships bytes, not corpora.
     log, window_s, stride, event_configs, config = args
-    plan = _replay_plan(resolve_log(log), window_s, stride)
+    plan = _replay_plan(log, window_s, stride)
     return plan, _forecast_steps(plan, event_configs, config)
 
 
@@ -303,8 +369,15 @@ def _plan_and_forecast_indexed(
     # payload is pointers and each worker maps its own slice lazily.
     token, index = job
     logs, window_s, stride, event_configs, config = fanout.payload(token)
-    plan = _replay_plan(resolve_log(logs[index]), window_s, stride)
-    return plan, _forecast_steps(plan, event_configs, config)
+    return _plan_and_forecast_star((logs[index], window_s, stride, event_configs, config))
+
+
+def _handover_events(logs) -> list[tuple[float, HandoverType]]:
+    """The logs' global handover-event index; a corpus view's comes
+    straight off its handover columns."""
+    if isinstance(logs, CorpusView):
+        return logs.handover_events()
+    return handover_events(logs)
 
 
 def run_prognos_over_logs(
@@ -337,18 +410,19 @@ def run_prognos_over_logs(
     (deadline ``REPRO_JOB_TIMEOUT_S``) and the pool degrades to serial
     execution rather than losing the run.
 
-    ``logs`` may be a :class:`~repro.simulate.corpus.CorpusView`:
-    the plan stage then parks (store, drive_id) pointers instead of
-    materialised logs — each plan job (serial, forked, or spawned)
-    opens its drive's memory-mapped slice lazily and releases it when
-    the plan is built, so the whole corpus is never resident at once —
-    and the final event index is computed as a column scan over the
-    shards.
+    Plans are built from packed columns (:func:`_replay_plan`), never
+    from tick objects. ``logs`` may be a
+    :class:`~repro.simulate.corpus.CorpusView`: the plan stage then
+    parks (store, drive_id) pointers — each plan job (serial, forked,
+    or spawned) opens its drive's memory-mapped slice lazily, reads the
+    plan off its columns and releases it, so the whole corpus is never
+    resident and no ``DriveLog`` is materialised — and the final event
+    index is a column scan over the shards. A list of ``DriveLog``
+    objects replays through each log's memoized packing.
     """
     if workers is None:
         workers = 1
-    is_view = isinstance(logs, CorpusView)
-    handles = logs.refs() if is_view else list(logs)
+    handles = logs.refs() if isinstance(logs, CorpusView) else list(logs)
     tasks = [(h, window_s, stride, event_configs, config) for h in handles]
     if workers > 1 and len(logs) > 1:
         staged = fanout.fanout_map(
@@ -428,7 +502,7 @@ def run_prognos_over_logs(
         times_s=np.array(times),
         predictions=predictions,
         truths=truths,
-        events=logs.handover_events() if is_view else handover_events(logs),
+        events=_handover_events(logs),
         lead_times_s=lead_times,
         learner_stats=prognos.stats(),
     )
@@ -448,7 +522,9 @@ def run_prognos_over_logs_reference(
     """Tick-at-a-time reference for :func:`run_prognos_over_logs`.
 
     Drives :meth:`Prognos.step` per step, recomputing the report
-    forecast inline; the staged runner must reproduce it bit for bit
+    forecast inline from per-step inputs built off the tick objects
+    (:func:`_tick_inputs`), not the column-built plan's; the staged
+    runner must reproduce it bit for bit
     (tests/test_dataplane_equivalence.py pins that).
     """
     plans = [_replay_plan(log, window_s, stride) for log in logs]
@@ -463,7 +539,7 @@ def run_prognos_over_logs_reference(
     lead_times: list[float] = []
     offset = 0.0
 
-    for plan in plans:
+    for log, plan in zip(logs, plans):
         prognos.start_log()
         e_idx = 0
         events = plan.events
@@ -482,7 +558,7 @@ def run_prognos_over_logs_reference(
                     run_type = None
                     prognos.observe_command(payload, event_time)
                 e_idx += 1
-            rsrp, serving, neighbours, scoped = plan.step_inputs[pos]
+            rsrp, serving, neighbours, scoped = _tick_inputs(log.ticks[tick_index])
             prediction = prognos.step(
                 now,
                 rsrp,
@@ -570,7 +646,7 @@ def evaluate_gbc(
         cache=model_cache,
     )
     predictions = model.predict(test.x)
-    events = [(t, c) for t, c in handover_events(logs) if t >= test.times_s[0]]
+    events = [(t, c) for t, c in _handover_events(logs) if t >= test.times_s[0]]
     return event_level_report(
         test.times_s,
         predictions,
@@ -613,7 +689,7 @@ def evaluate_lstm(
         cache=model_cache,
     )
     predictions = model.predict(test.x)
-    events = [(t, c) for t, c in handover_events(logs) if t >= test.times_s[0]]
+    events = [(t, c) for t, c in _handover_events(logs) if t >= test.times_s[0]]
     return event_level_report(
         test.times_s,
         predictions,

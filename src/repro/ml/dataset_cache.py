@@ -37,6 +37,7 @@ from repro.simulate.cache import (
     code_version_token,
     content_key,
 )
+from repro.simulate.corpus import CorpusView
 from repro.simulate.records import DriveLog
 
 
@@ -71,6 +72,11 @@ class DatasetCache(ContentCache):
 
     @staticmethod
     def key_for(kind: str, logs: Sequence[DriveLog], params: dict) -> str:
+        """The entry's content key; a corpus view digests its memmap
+        slices, so keying never materialises a drive (and matches the
+        key of the same drives as ``DriveLog`` objects)."""
+        if isinstance(logs, CorpusView):
+            logs = logs.iter_columnar()
         return content_key(
             {
                 "kind": kind,

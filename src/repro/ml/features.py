@@ -65,19 +65,34 @@ def label_for_tick(log: DriveLog, time_s: float, window_s: float) -> HandoverTyp
 def labels_for_times(
     log: DriveLog, times_s: np.ndarray, window_s: float
 ) -> list[HandoverType]:
-    """Vectorized :func:`label_for_tick` for an array of tick times.
+    """Vectorized :func:`label_for_tick` for an array of tick times."""
+    return decision_labels(
+        np.array([h.decision_time_s for h in log.handovers], dtype=float),
+        [h.ho_type for h in log.handovers],
+        times_s,
+        window_s,
+    )
+
+
+def decision_labels(
+    decisions: np.ndarray,
+    types: list[HandoverType],
+    times_s: np.ndarray,
+    window_s: float,
+) -> list[HandoverType]:
+    """:func:`labels_for_times` over the handovers' decision-time and
+    type columns, so a packed log labels without handover objects.
 
     One ``np.searchsorted`` over the (sorted) handover decision times
     finds, per query time, the earliest decision strictly after it; the
     label is that handover's type when it falls inside the window.
     """
     times_s = np.asarray(times_s, dtype=float)
-    if not log.handovers:
+    if not len(types):
         return [HandoverType.NONE] * times_s.shape[0]
-    decisions = np.array([h.decision_time_s for h in log.handovers])
     order = np.argsort(decisions, kind="stable")
     decisions = decisions[order]
-    types = [log.handovers[i].ho_type for i in order]
+    types = [types[i] for i in order.tolist()]
     # Earliest decision with decision_time > t (window is (t, t+w]).
     first = np.searchsorted(decisions, times_s, side="right")
     in_window = (first < decisions.size) & (

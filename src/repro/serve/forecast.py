@@ -25,13 +25,20 @@ from repro.rrc.events import EventConfig
 
 
 class StreamingForecaster:
-    """Per-session RRS histories and config gating for the batch engine."""
+    """Per-session RRS histories and config gating for the batch engine.
+
+    ``rrs`` is the history to wrap — a serving session passes its
+    Prognos's own (``report_predictor.rrs``), so the session holds one
+    RRS history whichever engine feeds it. Omitted, the forecaster
+    builds its own.
+    """
 
     def __init__(
         self,
         event_configs: list[EventConfig],
         *,
         config: PrognosConfig | None = None,
+        rrs: RRSPredictor | None = None,
     ) -> None:
         if not event_configs:
             raise ValueError("need at least one event config")
@@ -43,18 +50,16 @@ class StreamingForecaster:
         self.smoother_window = config.smoother_window
         self.window_s = config.prediction_window_s
         self.cohort = (id(event_configs), self.smoother_window, self.window_s)
-        self.rrs = RRSPredictor(
-            history_window_ticks=config.history_window_ticks,
-            smoother_window=config.smoother_window,
-        )
+        if rrs is None:
+            rrs = RRSPredictor(
+                history_window_ticks=config.history_window_ticks,
+                smoother_window=config.smoother_window,
+            )
+        self.rrs = rrs
 
     def observe(self, time_s: float, rsrp_by_cell: dict) -> None:
         """Fold one tick into the histories (push + stale sweep)."""
         self.rrs.observe(time_s, rsrp_by_cell)
-
-    def reset(self) -> None:
-        """Log boundary: drop all radio history (``Prognos.start_log``)."""
-        self.rrs.reset()
 
     def prepare(self, serving: dict, neighbours: dict, scoped_neighbours: dict | None):
         """The tick's gating: :func:`repro.core.forecast_kernel.gate`."""

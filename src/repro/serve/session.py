@@ -8,12 +8,17 @@ through the same state transitions:
 * **sequential** — :meth:`step_sequential` runs the scalar
   :meth:`~repro.core.prognos.Prognos.step` per frame (the per-session
   baseline the bench compares against);
-* **micro-batched** — :meth:`begin_tick` feeds the shared
+* **micro-batched** — :meth:`begin_tick` feeds the session's
   :class:`~repro.serve.forecast.StreamingForecaster` and gates the
   tick's configs, the engine runs the cross-session
   :func:`~repro.serve.forecast.forecast_batch`, and
   :meth:`finish_tick` runs the learner-coupled tail
   (:meth:`~repro.core.prognos.Prognos.step_with_forecast`).
+
+The forecaster wraps the Prognos report predictor's own
+:class:`~repro.core.rrs_predictor.RRSPredictor`, so a session holds one
+RRS history in either mode, and :meth:`Prognos.start_log
+<repro.core.prognos.Prognos.start_log>` resets it for both.
 
 The split is exactly the offline evaluator's plan/stream split, so both
 modes produce bit-identical predictions to
@@ -66,7 +71,11 @@ class ServingSession:
         # A fresh connection is a log boundary by definition.
         self.prognos.start_log()
         self.forecaster = (
-            StreamingForecaster(event_configs, config=prognos_config)
+            StreamingForecaster(
+                event_configs,
+                config=prognos_config,
+                rrs=self.prognos.report_predictor.rrs,
+            )
             if batched
             else None
         )
@@ -90,8 +99,6 @@ class ServingSession:
     def start_log(self) -> None:
         """Log boundary: reset radio history, keep the learner."""
         self.prognos.start_log()
-        if self.forecaster is not None:
-            self.forecaster.reset()
 
     # ------------------------------------------------------------------
     # Per-tick prediction.

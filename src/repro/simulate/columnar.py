@@ -222,6 +222,11 @@ class ColumnarLog:
         """Total packed payload size in bytes."""
         return sum(a.nbytes for a in self.arrays.values())
 
+    def handover_types(self) -> list[HandoverType]:
+        """Each handover's type, decoded through the stored name table."""
+        table = [HandoverType[name] for name in self.arrays["enum_ho_types"].tolist()]
+        return [table[i] for i in self.arrays["ho_type"].tolist()]
+
     # ------------------------------------------------------------------
     # DriveLog <-> ColumnarLog
     # ------------------------------------------------------------------
@@ -380,7 +385,6 @@ class ColumnarLog:
         a = self.arrays
         modes = [RadioMode[name] for name in a["enum_modes"].tolist()]
         bands = [BandClass[name] for name in a["enum_bands"].tolist()]
-        ho_types = [HandoverType[name] for name in a["enum_ho_types"].tolist()]
 
         def opt(values: list, i: int):
             return None if values[i] == -1 else values[i]
@@ -485,7 +489,7 @@ class ColumnarLog:
             for i in range(len(rep_time))
         ]
 
-        ho_type = a["ho_type"].tolist()
+        ho_type = self.handover_types()
         decision = a["ho_decision_s"].tolist()
         exec_start = a["ho_exec_start_s"].tolist()
         complete = a["ho_complete_s"].tolist()
@@ -507,7 +511,7 @@ class ColumnarLog:
         energy = a["ho_energy_j"].tolist()
         handovers = [
             HandoverRecord(
-                ho_type=ho_types[ho_type[i]],
+                ho_type=ho_type[i],
                 decision_time_s=decision[i],
                 exec_start_s=exec_start[i],
                 complete_s=complete[i],
@@ -582,11 +586,13 @@ def as_columnar(log) -> ColumnarLog:
     """``log`` as packed arrays, whatever it is.
 
     Accepts a :class:`ColumnarLog` (returned as-is — including
-    memory-mapped corpus slices, which stay zero-copy) or a
+    memory-mapped corpus slices, which stay zero-copy), a
+    :class:`~repro.simulate.corpus.DriveRef` (its slice) or a
     :class:`~repro.simulate.records.DriveLog` (its memoized
     :meth:`~repro.simulate.records.DriveLog.columnar` packing). The
-    columnar analyses take either, so callers holding a corpus slice
-    never materialise tick objects just to hand them to an analysis.
+    columnar analyses and the replay plan take any of them, so callers
+    holding a corpus slice never materialise tick objects just to hand
+    them on.
     """
     if isinstance(log, ColumnarLog):
         return log

@@ -17,11 +17,11 @@ into *sharded, uncompressed, memory-mappable* corpus files:
 
 :meth:`CorpusStore.open_slice` returns a
 :class:`~repro.simulate.columnar.ColumnarLog` whose arrays are
-read-only ``np.memmap`` views over the shard blob: no decompression, no
-copy, no whole-log materialisation — a consumer that scans only the
-handover columns faults in only those pages. The views keep the mapping
-alive on their own, so they survive the store (or even the process's
-last store handle) going away.
+read-only plain ``ndarray`` views over the shard's ``np.memmap``: no
+decompression, no copy, no whole-log materialisation — a consumer that
+scans only the handover columns faults in only those pages. The views
+keep the mapping alive on their own, so they survive the store (or even
+the process's last store handle) going away.
 
 **Appends are resumable and exactly-once.** ``append`` writes the
 drive's payload to the tail of the current shard blob (fsync), then
@@ -249,13 +249,17 @@ class CorpusStore:
         return cached
 
     def open_slice(self, drive_id: str) -> ColumnarLog | None:
-        """The drive's :class:`ColumnarLog`, arrays as read-only memmaps.
+        """The drive's :class:`ColumnarLog`, arrays as read-only views.
 
         Returns None (a counted miss) when the drive is absent or the
         shard is transiently unreadable. The returned arrays are views
         over the shard mapping — only the pages a consumer touches are
         ever faulted in, and the views stay valid after the store
-        object is gone.
+        object is gone. They are cut from a plain ``ndarray`` view of
+        the ``np.memmap``, not from the memmap itself: every view
+        operation on the memmap subclass runs its
+        ``__array_finalize__``, a cost each open and then each analysis
+        slicing the arrays would pay again.
         """
         if not self.enabled:
             self.misses += 1
@@ -266,7 +270,7 @@ class CorpusStore:
             return None
         shard, entry = found
         try:
-            blob = self._mmap(shard)
+            blob = self._mmap(shard).view(np.ndarray)
         except (OSError, ValueError):
             self.misses += 1
             return None
@@ -434,20 +438,15 @@ class DriveRef:
         return self.columnar().to_drive_log()
 
 
-def resolve_log(log):
-    """``log`` itself, or the materialised drive behind a :class:`DriveRef`."""
-    if isinstance(log, DriveRef):
-        return log.load()
-    return log
-
-
 class CorpusView(Sequence):
     """A lazy, picklable sequence of drives backed by a :class:`CorpusStore`.
 
-    Indexing materialises (and memoises) the full ``DriveLog``;
-    :meth:`columnar` and :meth:`iter_columnar` expose the memmap-backed
-    slices directly for consumers that only scan packed arrays and
-    should never pay for tick objects. Pickling ships only
+    Indexing materialises (and memoises) the full ``DriveLog`` — the
+    one place a view still builds tick objects. :meth:`columnar` and
+    :meth:`iter_columnar` expose the memmap-backed slices directly, and
+    the consumers that take a whole view read those: the §5 analyses,
+    the Prognos replay plan, the dataset-cache key and
+    :meth:`handover_events`. Pickling ships only
     ``(store_path, drive_ids)``, so parking a view in the fan-out
     registry — or sending it to a spawn worker — costs the same
     whether the corpus is ten drives or ten million.
@@ -501,19 +500,15 @@ class CorpusView(Sequence):
         time of each drive, so a full-corpus event index never
         materialises a tick object.
         """
-        from repro.rrc.taxonomy import HandoverType
-
         events: list[tuple[float, object]] = []
         offset = 0.0
         for clog in self.iter_columnar():
-            a = clog.arrays
-            times = a["tick_time_s"]
+            times = clog.arrays["tick_time_s"]
             duration = float(times[-1] - times[0]) if len(times) else 0.0
-            types = [HandoverType[name] for name in a["enum_ho_types"].tolist()]
-            for when, type_index in zip(
-                a["ho_decision_s"].tolist(), a["ho_type"].tolist()
+            for when, ho_type in zip(
+                clog.arrays["ho_decision_s"].tolist(), clog.handover_types()
             ):
-                events.append((when + offset, types[type_index]))
+                events.append((when + offset, ho_type))
             offset += duration + 1.0
         events.sort(key=lambda item: item[0])
         return events

@@ -75,6 +75,8 @@ class TestRoundTrip:
         clog = CorpusStore(tmp_path, enabled=True).open_slice("d1")
         for key in ARRAY_KEYS:
             assert not clog.arrays[key].flags.writeable
+            # Plain ndarray views over the mapping, not np.memmap ones.
+            assert type(clog.arrays[key]) is np.ndarray
         with pytest.raises((ValueError, RuntimeError)):
             clog.arrays["tick_time_s"][0] = 99.0
         # The views outlive every store handle: drop both stores, the

@@ -90,7 +90,7 @@ def test_staggered_cohort_with_midstream_reset(freeway_low_log):
                 continue
             if reset_at.get(k) == idx:
                 references[k] = _reference_predictor(configs, config)
-                streamings[k].reset()
+                streamings[k].rrs.reset()
             now, inputs = plan.step_times[idx], plan.step_inputs[idx]
             references[k].observe(now, inputs[0])
             streamings[k].observe(now, inputs[0])

@@ -15,9 +15,15 @@ from repro.rrc.events import MeasurementObject
 from repro.serve import protocol
 from repro.serve.protocol import frame, read_frame
 from repro.serve.server import PrognosServer, ServerConfig
-from repro.serve.session import SessionState
+from repro.serve.session import ServingSession, SessionState
 
 EVENT_CONFIGS = configs_for_log(OPX, (BandClass.LOW,))
+#: (serving, neighbours, scoped) of a one-neighbour LTE tick.
+_TICK_CELLS = (
+    {MeasurementObject.LTE: 10, MeasurementObject.NR: None},
+    {MeasurementObject.LTE: [11], MeasurementObject.NR: []},
+    {MeasurementObject.LTE: [11], MeasurementObject.NR: []},
+)
 
 
 # ----------------------------------------------------------------------
@@ -58,6 +64,24 @@ def test_state_pickle_drops_connection():
     assert clone.token == "tok" and clone.policy == "disconnect"
     assert clone.out_seq == 1 and clone.dropped == 3
     assert list(clone.journal) == [b"p1"]
+
+
+def test_batched_session_keeps_one_rrs_history():
+    """The forecaster feeds Prognos's own RRS predictor, and a pickled
+    (exported, then adopted) session still shares that one predictor."""
+    session = ServingSession("u", EVENT_CONFIGS)
+    shared = session.prognos.report_predictor.rrs
+    assert session.forecaster.rrs is shared
+    assert ServingSession("v", EVENT_CONFIGS, batched=False).forecaster is None
+    for i in range(5):
+        session.begin_tick(0.25 * i, {10: -80.0 - i, 11: -90.0}, *_TICK_CELLS)
+    assert shared._cells
+    state = SessionState("u", session, token="tok")
+    clone = pickle.loads(pickle.dumps(state)).session
+    assert clone.forecaster.rrs is clone.prognos.report_predictor.rrs
+    assert clone.forecaster.rrs._cells.keys() == shared._cells.keys()
+    clone.start_log()
+    assert not clone.forecaster.rrs._cells and shared._cells
 
 
 # ----------------------------------------------------------------------
