@@ -1,22 +1,21 @@
-"""Out-of-core corpus store: build resumability, open latency, peak RSS.
+"""Out-of-core corpus store: build resumability, peak RSS, bytes read.
 
-The sharded :class:`~repro.simulate.corpus.CorpusStore` replaces
-decompress-and-materialise per-drive ``.npz`` loads with read-only
-``np.memmap`` slices over uncompressed shard blobs. This bench prices
-the claims:
+The sharded :class:`~repro.simulate.corpus.CorpusStore` serves drives
+as read-only ``np.memmap`` slices over uncompressed shard blobs. This
+bench prices the claims:
 
 * **Cold vs. resumed build** — a corpus build killed mid-run (hard
   ``os._exit`` after k of n appends, in a forked child) resumes on
   rerun from the committed shards: exactly n−k drives simulate, and the
   resumed build's wall-clock reflects only the missing work.
-* **Warm open latency** — ``open_slice`` (mmap + header arithmetic) vs.
-  ``load_columnar`` (zlib decompress) per drive.
+* **Warm open latency** — ``open_slice`` (mmap + header arithmetic)
+  per drive.
 * **Peak RSS** — a full-corpus §5.1 frequency + §5.3 energy scan in a
   forked child, store leg (columnar analyses over memmap slices)
-  vs. ``.npz`` leg (materialise every ``DriveLog``, list-based
-  reference analyses — today's consumer pattern), measured by
-  ``ru_maxrss``. Both children fork from the same parent state, so the
-  inherited baseline cancels.
+  vs. materialised leg (every slice rebuilt as a ``DriveLog``, then
+  the list-based reference analyses), measured by ``ru_maxrss``. Both
+  children fork from the same parent state, so the inherited baseline
+  cancels.
 * **Bytes mapped vs. bytes read** — the whole corpus is mapped, but the
   scan faults in only the columns it touches.
 
@@ -46,8 +45,6 @@ from repro.analysis.frequency import (
 from repro.perf import Timer
 from repro.radio.bands import BandClass
 from repro.ran import OPX
-from repro.simulate.cache import DriveCache
-from repro.simulate.columnar import load_columnar
 from repro.simulate.corpus import CorpusStore
 from repro.simulate.runner import default_workers, run_drives_to_store
 from repro.simulate.scenarios import freeway_scenario
@@ -87,9 +84,10 @@ def _analyse_store(root, drive_ids):
     return (freq.distance_km, freq.spacing_5g_nsa_km, energy.energy_per_km_j)
 
 
-def _analyse_npz(paths):
-    """The pre-store consumer pattern: every log decompressed + rebuilt."""
-    logs = [load_columnar(p).to_drive_log() for p in paths]
+def _analyse_materialised(root, drive_ids):
+    """The object-graph consumer pattern: every slice rebuilt as a log."""
+    store = CorpusStore(root, enabled=True)
+    logs = [store.open_slice(d).to_drive_log() for d in drive_ids]
     freq = frequency_breakdown_reference(logs)
     energy = energy_breakdown_reference(logs, FIVE_G_NSA_TYPES)
     return (freq.distance_km, freq.spacing_5g_nsa_km, energy.energy_per_km_j)
@@ -130,7 +128,7 @@ def _killed_build(root, kill_after, conn):
         return stored
 
     CorpusStore.append = mortal_append
-    run_drives_to_store(_scenarios(), workers=1, store=store, use_cache=False)
+    run_drives_to_store(_scenarios(), workers=1, store=store)
     os._exit(0)  # not reached
 
 
@@ -144,15 +142,13 @@ def test_corpus_store(corpus):
 
     with tempfile.TemporaryDirectory(prefix="bench-corpus-") as tmp:
         tmp = Path(tmp)
-        cold_root, resume_root, npz_root = tmp / "cold", tmp / "resume", tmp / "npz"
+        cold_root, resume_root = tmp / "cold", tmp / "resume"
 
         # --- cold build: every drive simulates, streams into shards ---
         cold_store = CorpusStore(cold_root, enabled=True)
         _, view = timer.timed(
             "cold_build",
-            lambda: run_drives_to_store(
-                scenarios, workers=workers, store=cold_store, use_cache=False
-            ),
+            lambda: run_drives_to_store(scenarios, workers=workers, store=cold_store),
         )
         assert cold_store.stats["appends"] == DRIVES
 
@@ -175,21 +171,14 @@ def test_corpus_store(corpus):
         _, _ = timer.timed(
             "resumed_build",
             lambda: run_drives_to_store(
-                scenarios, workers=workers, store=resumed_store, use_cache=False
+                scenarios, workers=workers, store=resumed_store
             ),
         )
         resimulated = resumed_store.stats["appends"]
         assert resimulated == DRIVES - kill_after
         assert len(resumed_store) == DRIVES
 
-        # --- the per-drive .npz comparison corpus (no re-simulation) ---
-        npz_cache = DriveCache(npz_root, enabled=True, store=None)
-        for i, scenario in enumerate(scenarios):
-            npz_cache.put(scenario, view.ref(i).load())
-        npz_paths = sorted(npz_root.glob("*.npz"))
-        assert len(npz_paths) == DRIVES
-
-        # --- warm open latency: mmap slice vs .npz decompress ---
+        # --- warm open latency: mmap slice ---
         warm_store = CorpusStore(cold_root, enabled=True)
         opens = 3 * DRIVES
         slice_open_s, _ = timer.timed(
@@ -198,17 +187,15 @@ def test_corpus_store(corpus):
                 warm_store.open_slice(d) for _ in range(3) for d in view.drive_ids
             ],
         )
-        npz_open_s, _ = timer.timed(
-            "npz_open",
-            lambda: [load_columnar(p) for _ in range(3) for p in npz_paths],
-        )
 
-        # --- peak RSS: full-corpus scan, store leg vs .npz leg ---
+        # --- peak RSS: full-corpus scan, store leg vs materialised leg ---
         store_result, store_rss_kb = _measure_rss(
             ctx, _analyse_store, (cold_root, list(view.drive_ids))
         )
-        npz_result, npz_rss_kb = _measure_rss(ctx, _analyse_npz, (npz_paths,))
-        assert store_result == npz_result  # bit-identical analyses
+        materialised_result, materialised_rss_kb = _measure_rss(
+            ctx, _analyse_materialised, (cold_root, list(view.drive_ids))
+        )
+        assert store_result == materialised_result  # bit-identical analyses
 
         # --- bytes mapped vs bytes read ---
         bytes_mapped = warm_store.bytes_indexed
@@ -230,10 +217,8 @@ def test_corpus_store(corpus):
         "resimulated_on_resume": resimulated,
         "resumed_build_s": round(timer["resumed_build"], 3),
         "slice_open_ms": round(1000 * slice_open_s / opens, 3),
-        "npz_open_ms": round(1000 * npz_open_s / opens, 3),
-        "open_speedup": round(npz_open_s / max(slice_open_s, 1e-9), 1),
         "scan_rss_store_kb": store_rss_kb,
-        "scan_rss_npz_kb": npz_rss_kb,
+        "scan_rss_materialised_kb": materialised_rss_kb,
         "bytes_mapped": bytes_mapped,
         "bytes_read": bytes_read,
         "mapped_to_read_ratio": round(bytes_mapped / max(bytes_read, 1), 1),
@@ -248,13 +233,10 @@ def test_corpus_store(corpus):
         f"{kill_after}/{DRIVES}, resume simulated {resimulated} "
         f"in {timer['resumed_build']:6.2f}s"
     )
-    print(
-        f"  warm open: slice {result['slice_open_ms']:7.3f} ms vs "
-        f".npz {result['npz_open_ms']:7.3f} ms ({result['open_speedup']}x)"
-    )
+    print(f"  warm open: slice {result['slice_open_ms']:7.3f} ms")
     print(
         f"  full-corpus scan RSS: store {store_rss_kb:,} KiB vs "
-        f".npz {npz_rss_kb:,} KiB"
+        f"materialised {materialised_rss_kb:,} KiB"
     )
     print(
         f"  bytes: mapped {bytes_mapped:,} read {bytes_read:,} "
@@ -267,16 +249,11 @@ def test_corpus_store(corpus):
     # counters were asserted inline above).
     assert survivors + resimulated == DRIVES
     # Acceptance: the memmap scan stays below the materialise-everything
-    # .npz path on peak RSS — the out-of-core claim. ru_maxrss baselines
+    # path on peak RSS — the out-of-core claim. ru_maxrss baselines
     # cancel (both children fork from the same parent state).
-    assert store_rss_kb < npz_rss_kb, (
-        f"store scan RSS {store_rss_kb} KiB not below .npz scan RSS "
-        f"{npz_rss_kb} KiB"
+    assert store_rss_kb < materialised_rss_kb, (
+        f"store scan RSS {store_rss_kb} KiB not below materialised scan RSS "
+        f"{materialised_rss_kb} KiB"
     )
     # Acceptance: the scan reads a fraction of what is mapped.
     assert bytes_read < bytes_mapped
-    # Acceptance (timing, gated): slice opens beat .npz decompression.
-    if cpus >= 2 and not SMOKE:
-        assert slice_open_s < npz_open_s, (
-            f"slice open {slice_open_s:.3f}s not below npz open {npz_open_s:.3f}s"
-        )

@@ -309,7 +309,7 @@ def corpus():
     if stats["hits"] or stats["misses"]:
         print(
             f"\n[drive-cache] hits={stats['hits']} misses={stats['misses']} "
-            f"stores={stats['stores']} root={corpus.drive_cache.root}"
+            f"stores={stats['stores']} store={corpus.drive_cache.store.root}"
         )
 
 

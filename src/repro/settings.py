@@ -41,7 +41,8 @@ SETTINGS: dict[str, Setting] = {
         Setting("REPRO_CACHE_DIR", str, ".repro-cache"),
         # 1 disables every cache layer and the corpus store.
         Setting("REPRO_NO_CACHE", bool, False),
-        # Corpus store root; when set, a default DriveCache attaches it.
+        # Root of the default drive store (CorpusStore); empty means
+        # <REPRO_CACHE_DIR>/corpus.
         Setting("REPRO_CORPUS_DIR", str, ""),
         # Default worker processes of the pool passes (1 = serial).
         Setting("REPRO_BENCH_WORKERS", int, 1, minimum=1),

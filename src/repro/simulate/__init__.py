@@ -33,7 +33,7 @@ from repro.simulate.dataset import (
     DatasetSummary,
 )
 from repro.simulate.cache import DriveCache
-from repro.simulate.columnar import ColumnarLog, load_columnar, save_columnar
+from repro.simulate.columnar import ColumnarLog
 from repro.simulate.runner import run_drives
 
 __all__ = [
@@ -54,7 +54,5 @@ __all__ = [
     "coverage_scenario",
     "energy_loop_scenario",
     "freeway_scenario",
-    "load_columnar",
     "run_drives",
-    "save_columnar",
 ]

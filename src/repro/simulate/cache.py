@@ -6,11 +6,14 @@ layer: root and enable resolution, the hit/miss/store/put-failure/
 corrupt counters, a CRC-checked read that quarantines entries that do
 not decode, an atomic write that degrades to a counted no-op, and the
 get-or-build step. A layer adds only a key, a path and a codec:
-:class:`DriveCache` here, :class:`~repro.ml.dataset_cache.DatasetCache`
-and :class:`~repro.ml.model_cache.ModelCache` beside their consumers.
+:class:`~repro.ml.dataset_cache.DatasetCache` and
+:class:`~repro.ml.model_cache.ModelCache` beside their consumers.
 
-:class:`DriveCache` keys each :class:`~repro.simulate.records.DriveLog`
-by a sha256 over everything that determines the log bit-for-bit:
+:class:`DriveCache` shares the counters and the root, but keeps its
+drives in a :class:`~repro.simulate.corpus.CorpusStore`, the one
+on-disk home of simulated drives. It keys each
+:class:`~repro.simulate.records.DriveLog` by a sha256 over everything
+that determines the log bit-for-bit:
 
 * the scenario's name and seed,
 * every :class:`SimulationConfig` knob,
@@ -25,8 +28,8 @@ by a sha256 over everything that determines the log bit-for-bit:
 Environment knobs (:mod:`repro.settings`): ``REPRO_CACHE_DIR`` relocates
 the cache root (default ``./.repro-cache``), ``REPRO_NO_CACHE=1``
 disables every layer (lookups miss, stores are no-ops), and
-``REPRO_CORPUS_DIR`` attaches a :class:`~repro.simulate.corpus.
-CorpusStore` to default-constructed drive caches.
+``REPRO_CORPUS_DIR`` relocates the default drive store (default
+``<REPRO_CACHE_DIR>/corpus``).
 """
 
 from __future__ import annotations
@@ -49,7 +52,8 @@ import numpy as np
 import repro
 from repro import settings
 from repro.robust import faults
-from repro.simulate.columnar import ColumnarLog, load_columnar, save_columnar
+from repro.simulate.columnar import ColumnarLog
+from repro.simulate.corpus import CorpusStore
 from repro.simulate.records import DriveLog
 from repro.simulate.scenarios import Scenario
 
@@ -263,21 +267,16 @@ class ContentCache:
 class DriveCache(ContentCache):
     """Content-addressed store of simulated drive logs.
 
-    Entries live under ``root`` as ``<key>.npz`` — the packed columnar
-    codec of :mod:`repro.simulate.columnar` — where ``key`` is
-    :meth:`key_for` of the scenario. Hits materialise columnar-backed
-    logs, so their memoized per-log series are views over the loaded
-    arrays and re-packing (for digests or further stores) is free.
-
-    When a :class:`~repro.simulate.corpus.CorpusStore` is attached
-    (``store=`` explicitly, or by default whenever ``REPRO_CORPUS_DIR``
-    is set), the cache delegates to it behind the shared
-    ``FORMAT_VERSION`` gate: lookups try the store's memory-mapped
-    slices first and fall back to per-drive ``.npz`` entries — a
-    ``.npz`` hit is migrated into the corpus so the next lookup maps
-    instead of decompressing — and stores append to the corpus instead
-    of writing new ``.npz`` files. Without a store the on-disk format
-    and stats are exactly what they always were.
+    Drives live in a :class:`~repro.simulate.corpus.CorpusStore` under
+    :meth:`key_for` of their scenario: ``store=`` if given, else
+    ``<root>/corpus`` for an explicit ``root``, else the default store
+    (``REPRO_CORPUS_DIR``, or ``<REPRO_CACHE_DIR>/corpus``). Hits are
+    read-only memory-mapped slices, checked against the content digest
+    recorded when the drive was appended: a slice whose bytes changed
+    since quarantines its shard and counts as ``corrupt`` and a miss,
+    so the caller re-simulates and the next ``put`` lands in a fresh
+    shard. Stores append to the store, exactly once per key, from any
+    number of processes.
     """
 
     def __init__(
@@ -285,31 +284,17 @@ class DriveCache(ContentCache):
         root: str | Path | None = None,
         *,
         enabled: bool | None = None,
-        store: "object | None" = "env",
+        store: CorpusStore | None = None,
     ):
         super().__init__(root, enabled=enabled)
-        if store == "env":
-            from repro.simulate.corpus import CorpusStore
-
-            store = CorpusStore.from_env()
+        if store is None:
+            corpus_root = None if root is None else self.root / "corpus"
+            store = CorpusStore(corpus_root, enabled=self.enabled)
         self.store = store
 
     @staticmethod
     def key_for(scenario: Scenario) -> str:
         return content_key(scenario_fingerprint(scenario))
-
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.npz"
-
-    @staticmethod
-    def encode(clog: ColumnarLog) -> bytes:
-        buffer = io.BytesIO()
-        save_columnar(clog, buffer)
-        return buffer.getvalue()
-
-    @staticmethod
-    def decode(data: bytes) -> ColumnarLog:
-        return load_columnar(checked_zip(data))
 
     def get(self, scenario: Scenario) -> DriveLog | None:
         """The cached log for ``scenario``, or None on a miss."""
@@ -320,42 +305,34 @@ class DriveCache(ContentCache):
         """The cached packed arrays for ``scenario``, or None on a miss.
 
         The fast path for consumers that scan columns and never touch
-        tick objects: no ``to_drive_log()`` rebuild. With a corpus
-        store attached the hit is a read-only memory-mapped slice
-        (pages fault in as they are scanned); a ``.npz`` fallback hit
-        is migrated into the corpus on the way out.
+        tick objects: no ``to_drive_log()`` rebuild. The hit is a
+        read-only memory-mapped slice whose digest matched the one
+        recorded at append.
         """
         if not self.enabled:
             self.misses += 1
             return None
         key = self.key_for(scenario)
-        if self.store is not None:
-            clog = self.store.open_slice(key)
-            if clog is not None:
-                self.hits += 1
-                return clog
-        clog = self.read(self._path(key))
-        if clog is not None and self.store is not None:
-            # Best-effort migration: next lookup maps from the corpus
-            # instead of decompressing this .npz again.
-            self.store.append(key, clog)
+        clog = self.store.open_slice(key)
+        if clog is not None and not self.store.verify(key, clog):
+            self.corrupt += 1
+            clog = None
+        if clog is None:
+            self.misses += 1
+            return None
+        self.hits += 1
         return clog
 
     def put(self, scenario: Scenario, log: DriveLog) -> None:
-        """Store ``log`` under the scenario's content key.
+        """Append ``log`` to the store under the scenario's content key.
 
-        With a corpus store attached the log is appended to the sharded
-        corpus instead (same exactly-once, same degradation: a failed
-        append counts here as a ``put_failure``).
+        Exactly-once: a key already stored is a no-op. A failed append
+        counts as a ``put_failure``.
         """
         if not self.enabled:
             return
-        key = self.key_for(scenario)
-        if self.store is None:
-            self.write(self._path(key), log.columnar())
-            return
         failures_before = self.store.put_failures
-        if self.store.append(key, log.columnar()):
+        if self.store.append(self.key_for(scenario), log.columnar()):
             self.stores += 1
         elif self.store.put_failures > failures_before:
             self.put_failures += 1

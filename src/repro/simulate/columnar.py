@@ -34,19 +34,19 @@ pre-populates the log's memoized :meth:`capacity_series` /
 :meth:`serving_pci_series` slots with read-only *views* over the packed
 arrays — the analyses consume the columnar store directly, no copies.
 
-The on-disk codec (:func:`save_columnar` / :func:`load_columnar`) is a
-compressed ``.npz`` behind the same ``FORMAT_VERSION`` gate as the JSON
-artifact format; :class:`~repro.simulate.cache.DriveCache` stores its
-entries this way. :meth:`ColumnarLog.content_digest` hashes the packed
-arrays — the corpus content key the derived-dataset cache uses instead
-of pickling tick tuples.
+On disk, drives live as these arrays in the shards of a
+:class:`~repro.simulate.corpus.CorpusStore`, behind the same
+``FORMAT_VERSION`` gate as the JSON artifact format.
+:meth:`ColumnarLog.content_digest` hashes the packed arrays — the
+corpus content key the derived-dataset cache uses instead of pickling
+tick tuples, and the checksum the store records for every drive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO, Sequence
+from functools import lru_cache
+from typing import Sequence
 
 import hashlib
 
@@ -188,6 +188,13 @@ def _pack_neighbours(
             (o.in_a3_scope for o in flat), dtype=bool, count=len(flat)
         ),
     }
+
+
+@lru_cache(maxsize=None)
+def _dtype_name(dtype: np.dtype) -> bytes:
+    """``str(dtype)``, encoded; numpy rebuilds the name on every call,
+    which cost more than hashing a drive's bytes."""
+    return str(dtype).encode()
 
 
 def _readonly_view(array: np.ndarray) -> np.ndarray:
@@ -576,9 +583,10 @@ class ColumnarLog:
         for key in ARRAY_KEYS:
             array = self.arrays[key]
             digest.update(key.encode())
-            digest.update(str(array.dtype).encode())
+            digest.update(_dtype_name(array.dtype))
             digest.update(str(array.shape).encode())
-            digest.update(np.ascontiguousarray(array).tobytes())
+            # Through the buffer protocol: no copy of a contiguous array.
+            digest.update(np.ascontiguousarray(array))
         return digest.hexdigest()
 
 
@@ -597,34 +605,3 @@ def as_columnar(log) -> ColumnarLog:
     if isinstance(log, ColumnarLog):
         return log
     return log.columnar()
-
-
-# ----------------------------------------------------------------------
-# .npz codec
-# ----------------------------------------------------------------------
-
-
-def save_columnar(clog: ColumnarLog, file: str | Path | IO[bytes]) -> None:
-    """Write ``clog`` as a compressed ``.npz`` archive."""
-    np.savez_compressed(
-        file,
-        format_version=np.int64(FORMAT_VERSION),
-        carrier=np.array(clog.carrier),
-        bearer=np.array("" if clog.bearer is None else clog.bearer.name),
-        scenario=np.array(clog.scenario),
-        **clog.arrays,
-    )
-
-
-def load_columnar(file: str | Path | IO[bytes]) -> ColumnarLog:
-    """Read an archive written by :func:`save_columnar`."""
-    with np.load(file, allow_pickle=False) as archive:
-        version = int(archive["format_version"])
-        if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported drive-log format version {version!r}")
-        carrier = str(archive["carrier"][()])
-        bearer_name = str(archive["bearer"][()])
-        bearer = BearerMode[bearer_name] if bearer_name else None
-        scenario = str(archive["scenario"][()])
-        arrays = {key: archive[key] for key in ARRAY_KEYS}
-    return ColumnarLog(carrier, bearer, scenario, arrays)

@@ -219,10 +219,11 @@ class DriveLog:
         """The packed struct-of-arrays form of this log, memoized.
 
         Logs materialised from a :class:`ColumnarLog` (cache hits,
-        ``.npz`` loads) carry their backing store and return it without
-        repacking; fresh simulator output packs once on first use. The
-        packed arrays feed the ``.npz`` codec, the worker fan-out, and
-        the content digests, so sharing one instance matters.
+        corpus slices) carry their backing arrays and return them
+        without repacking; fresh simulator output packs once on first
+        use. The packed arrays feed the corpus store, the worker
+        fan-out, and the content digests, so sharing one instance
+        matters.
         """
         cached = self.__dict__.get("_columnar")
         if cached is None:

@@ -17,25 +17,24 @@ inheritance and sends each worker only an index (falling back to
 pickling where ``fork`` is unavailable). The pass is supervised
 (:mod:`repro.robust`): crashed or hung workers are retried and the
 pool degrades to serial execution rather than losing the run, and
-every finished drive is published to the cache the moment it
-completes.
+every finished drive is published the moment it completes.
 
 That incremental publication is also what makes corpus generation
-*resumable*: :func:`run_drives_to_store` streams every finished drive
-into a sharded :class:`~repro.simulate.corpus.CorpusStore` through the
-same exactly-once ``on_result`` hook and returns a lazy
-:class:`~repro.simulate.corpus.CorpusView` instead of materialised
+*resumable*: the drive cache appends each finished drive to its
+:class:`~repro.simulate.corpus.CorpusStore` through the supervised
+pool's exactly-once ``on_result`` hook, and :func:`run_drives_to_store`
+streams into a store the same way through the same loop, returning a
+lazy :class:`~repro.simulate.corpus.CorpusView` instead of materialised
 logs. Kill a corpus build at drive k of n, rerun, and only the n−k
 missing drives simulate — the rest are already committed shards on
-disk. (Plain :func:`run_drives` gains the same property whenever its
-cache has a corpus store attached, i.e. ``REPRO_CORPUS_DIR`` is set.)
+disk.
 
 ``REPRO_BENCH_WORKERS`` sets the default worker count (1 = serial).
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro import settings
 from repro.simulate import fanout
@@ -61,6 +60,35 @@ def _run_one_indexed(job: tuple[int, int]) -> DriveLog:
     return fanout.payload(token)[index].run()
 
 
+def _simulate(
+    scenarios: list[Scenario],
+    missing: list[int],
+    workers: int,
+    publish: Callable[[int, DriveLog], None],
+) -> None:
+    """Simulate ``scenarios[i]`` for each ``i`` in ``missing``.
+
+    Each log is handed to ``publish(offset into missing, log)`` the
+    moment it finishes (in the parent, as pool chunks complete), so a
+    crash at drive 999/1000 loses one drive and a rerun resumes from
+    what was published instead of resimulating the lot.
+    """
+    if workers <= 1 or len(missing) == 1:
+        for offset, i in enumerate(missing):
+            publish(offset, _run_one(scenarios[i]))
+    elif missing:
+        miss_scenarios = [scenarios[i] for i in missing]
+        fanout.fanout_map(
+            _run_one_indexed,
+            miss_scenarios,
+            len(miss_scenarios),
+            workers,
+            fallback_fn=_run_one,
+            fallback_jobs=miss_scenarios,
+            on_result=publish,
+        )
+
+
 def run_drives(
     scenarios: Sequence[Scenario],
     workers: int | None = None,
@@ -81,44 +109,25 @@ def run_drives(
     scenarios = list(scenarios)
     if workers is None:
         workers = default_workers()
-    if cache is None and use_cache:
+    if not use_cache:
+        cache = None
+    elif cache is None:
         cache = DriveCache()
 
     logs: list[DriveLog | None] = [None] * len(scenarios)
     misses: list[int] = []
     for i, scenario in enumerate(scenarios):
-        cached = cache.get(scenario) if use_cache and cache else None
-        if cached is not None:
-            logs[i] = cached
-        else:
+        logs[i] = None if cache is None else cache.get(scenario)
+        if logs[i] is None:
             misses.append(i)
 
-    if misses:
-        # Publish incrementally: each drive is cached the moment it
-        # finishes (in the parent, as pool chunks complete), so a crash
-        # at drive 999/1000 loses one drive and a rerun resumes from
-        # the cache instead of resimulating the lot.
-        def publish(offset: int, log: DriveLog) -> None:
-            index = misses[offset]
-            logs[index] = log
-            if use_cache and cache:
-                cache.put(scenarios[index], log)
+    def publish(offset: int, log: DriveLog) -> None:
+        index = misses[offset]
+        logs[index] = log
+        if cache is not None:
+            cache.put(scenarios[index], log)
 
-        if workers <= 1 or len(misses) == 1:
-            for offset, i in enumerate(misses):
-                publish(offset, _run_one(scenarios[i]))
-        else:
-            miss_scenarios = [scenarios[i] for i in misses]
-            fanout.fanout_map(
-                _run_one_indexed,
-                miss_scenarios,
-                len(miss_scenarios),
-                workers,
-                fallback_fn=_run_one,
-                fallback_jobs=miss_scenarios,
-                on_result=publish,
-            )
-
+    _simulate(scenarios, misses, workers, publish)
     return logs  # type: ignore[return-value]
 
 
@@ -128,18 +137,15 @@ def run_drives_to_store(
     *,
     store: CorpusStore | None = None,
     cache: DriveCache | None = None,
-    use_cache: bool = True,
 ) -> CorpusView:
     """Simulate ``scenarios`` into the corpus store; return a lazy view.
 
     Out-of-core ``run_drives``: nothing is kept in memory. Drives
-    already committed to ``store`` are skipped outright; per-drive
-    ``.npz`` cache hits are migrated into the store without
-    re-simulating; only genuinely missing drives fan out, and each one
-    is appended to the store the moment it finishes (the supervised
-    pool's exactly-once ``on_result`` publication). The returned
-    :class:`CorpusView` opens memory-mapped slices lazily, in whichever
-    process ends up consuming them.
+    already committed to ``store`` are skipped outright; only missing
+    drives fan out, and each one is appended to the store the moment
+    it finishes (the supervised pool's exactly-once ``on_result``
+    publication). The returned :class:`CorpusView` opens memory-mapped
+    slices lazily, in whichever process ends up consuming them.
 
     Because every append commits its shard index atomically, a build
     killed at drive k of n resumes on rerun: the first k drives read
@@ -149,62 +155,26 @@ def run_drives_to_store(
         scenarios: the drives the corpus should hold.
         workers: process count for the misses. None reads
             ``REPRO_BENCH_WORKERS``; 0/1 runs serially in-process.
-        store: the corpus store to fill. None uses the cache's attached
-            store, or the default (``REPRO_CORPUS_DIR`` aware).
-        cache: a per-drive cache to consult for migration. None
-            constructs the default bound to ``store``.
-        use_cache: False skips the per-drive cache consult (the corpus
-            store itself is always consulted — it is the output).
+        store: the corpus store to fill. None uses ``cache.store``, or
+            the default store (``REPRO_CORPUS_DIR`` aware).
+        cache: a drive cache whose store to fill when ``store`` is None.
     """
     scenarios = list(scenarios)
     if workers is None:
         workers = default_workers()
     if store is None:
-        if cache is not None and isinstance(cache.store, CorpusStore):
-            store = cache.store
-        else:
-            store = CorpusStore()
+        store = cache.store if cache is not None else CorpusStore()
     if not store.enabled:
         raise ValueError(
             "run_drives_to_store needs an enabled CorpusStore "
             "(REPRO_NO_CACHE=1 disables the default one)"
         )
-    if cache is None and use_cache:
-        cache = DriveCache(store=store)
 
     keys = [DriveCache.key_for(s) for s in scenarios]
-    missing: list[int] = []
-    for i, key in enumerate(keys):
-        if key in store:
-            continue
-        if use_cache and cache is not None:
-            # A .npz hit migrates into the store inside get_columnar
-            # (when the cache is bound to it) — append is a no-op then.
-            clog = cache.get_columnar(scenarios[i])
-            if clog is not None:
-                store.append(key, clog)
-                if key in store:
-                    continue
-        missing.append(i)
+    missing = [i for i, key in enumerate(keys) if key not in store]
 
-    if missing:
+    def publish(offset: int, log: DriveLog) -> None:
+        store.append(keys[missing[offset]], log.columnar())
 
-        def publish(offset: int, log: DriveLog) -> None:
-            store.append(keys[missing[offset]], log.columnar())
-
-        if workers <= 1 or len(missing) == 1:
-            for offset, i in enumerate(missing):
-                publish(offset, _run_one(scenarios[i]))
-        else:
-            miss_scenarios = [scenarios[i] for i in missing]
-            fanout.fanout_map(
-                _run_one_indexed,
-                miss_scenarios,
-                len(miss_scenarios),
-                workers,
-                fallback_fn=_run_one,
-                fallback_jobs=miss_scenarios,
-                on_result=publish,
-            )
-
+    _simulate(scenarios, missing, workers, publish)
     return CorpusView(store.root, keys)

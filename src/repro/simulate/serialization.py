@@ -6,12 +6,15 @@ JSON document (optionally gzipped by file suffix) and load it back,
 bit-identical in every field the analyses consume. Useful for caching
 expensive simulations and for shipping generated datasets.
 
-``FORMAT_VERSION`` gates every on-disk drive-log codec — this JSON
-artifact format and the packed ``.npz`` columnar codec in
-:mod:`repro.simulate.columnar`. Version 2 fixed optional-enum decoding
-(``is not None`` instead of truthiness, so falsy enum values survive
-round-trips) and added the columnar sibling; version-1 files are
-rejected rather than risk decoding differently.
+``FORMAT_VERSION`` gates every on-disk drive-log format — this JSON
+artifact format and the shards of the
+:class:`~repro.simulate.corpus.CorpusStore`, which hold the packed
+arrays of :mod:`repro.simulate.columnar`. Version 2 fixed optional-enum
+decoding (``is not None`` instead of truthiness, so falsy enum values
+survive round-trips) and added the columnar sibling; version 3 records
+each stored drive's content digest in its shard index. Files of another
+version are rejected (shards of another version are skipped as stale)
+rather than risk decoding differently.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from repro.simulate.records import (
 )
 from repro.ue.state import RadioMode
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def _rrs_to_list(sample: RRSSample | None) -> list[float] | None:

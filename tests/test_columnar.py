@@ -1,8 +1,8 @@
-"""ColumnarLog: lossless packing, the .npz codec, views, and digests."""
+"""ColumnarLog: lossless packing, views, and digests."""
 
 from __future__ import annotations
 
-import io
+import hashlib
 import json
 
 import numpy as np
@@ -10,12 +10,8 @@ import pytest
 
 from repro.net.bearer import BearerMode
 from repro.radio.bands import BandClass
-from repro.simulate.columnar import (
-    ARRAY_KEYS,
-    ColumnarLog,
-    load_columnar,
-    save_columnar,
-)
+from repro.simulate.columnar import ARRAY_KEYS, ColumnarLog
+from repro.simulate.serialization import FORMAT_VERSION
 from repro.simulate.serialization import log_to_dict
 from tests.conftest import make_optional_field_log
 
@@ -51,23 +47,6 @@ class TestRoundTrip:
         assert rebuilt.handovers[0].band_class is band
         assert rebuilt.handovers[1].band_class is None
         assert rebuilt.bearer is bearer
-
-    def test_npz_roundtrip(self, freeway_low_log, tmp_path):
-        clog = freeway_low_log.columnar()
-        path = tmp_path / "drive.npz"
-        with open(path, "wb") as fh:
-            save_columnar(clog, fh)
-        loaded = load_columnar(path)
-        _assert_identical(loaded.to_drive_log(), freeway_low_log)
-
-    def test_npz_smaller_than_json(self, freeway_low_log, tmp_path):
-        from repro.simulate.serialization import save_log
-
-        npz = tmp_path / "drive.npz"
-        with open(npz, "wb") as fh:
-            save_columnar(freeway_low_log.columnar(), fh)
-        plain = save_log(freeway_low_log, tmp_path / "drive.json")
-        assert npz.stat().st_size < plain.stat().st_size / 2
 
     def test_negative_identifier_rejected(self):
         log = make_optional_field_log()
@@ -112,12 +91,29 @@ class TestBacking:
 
 
 class TestDigest:
-    def test_digest_stable_across_codec(self, freeway_low_log):
-        clog = freeway_low_log.columnar()
-        buffer = io.BytesIO()
-        save_columnar(clog, buffer)
-        buffer.seek(0)
-        assert load_columnar(buffer).content_digest() == clog.content_digest()
+    def test_digest_hashes_array_bytes(self):
+        """The digest reads each array through the buffer protocol, and
+        equals the formula that hashed ``.tobytes()`` copies, for every
+        dtype the log holds (``U`` name tables, empty arrays)."""
+        log = make_optional_field_log(bearer=BearerMode.FIVE_G_ONLY)
+        log.reports, log.handovers = [], []  # empty report/handover arrays
+        clog = ColumnarLog.from_drive_log(log)
+        kinds = {a.dtype.kind for a in clog.arrays.values()}
+        assert "U" in kinds
+        assert any(a.size == 0 for a in clog.arrays.values())
+        digest = hashlib.sha256()
+        digest.update(b"columnar-log\0")
+        digest.update(str(FORMAT_VERSION).encode())
+        for text in (clog.carrier, clog.bearer.name, clog.scenario):
+            digest.update(b"\0")
+            digest.update(text.encode())
+        for key in ARRAY_KEYS:
+            array = clog.arrays[key]
+            digest.update(key.encode())
+            digest.update(str(array.dtype).encode())
+            digest.update(str(array.shape).encode())
+            digest.update(np.ascontiguousarray(array).tobytes())
+        assert clog.content_digest() == digest.hexdigest()
 
     def test_digest_tracks_content(self):
         a = make_optional_field_log(band=BandClass.LOW)
@@ -133,29 +129,3 @@ class TestDigest:
         assert token == freeway_low_log.columnar().content_digest()
         # Memoized on the instance.
         assert log_content_digest(freeway_low_log) == token
-
-
-class TestFormat:
-    def test_version_gate(self, tmp_path, monkeypatch):
-        log = make_optional_field_log()
-        path = tmp_path / "drive.npz"
-        monkeypatch.setattr("repro.simulate.columnar.FORMAT_VERSION", 999)
-        with open(path, "wb") as fh:
-            save_columnar(log.columnar(), fh)
-        monkeypatch.undo()
-        with pytest.raises(ValueError, match="format version"):
-            load_columnar(path)
-
-    def test_archive_holds_exactly_the_canonical_arrays(self, tmp_path):
-        log = make_optional_field_log(bearer=BearerMode.FIVE_G_ONLY)
-        path = tmp_path / "drive.npz"
-        with open(path, "wb") as fh:
-            save_columnar(log.columnar(), fh)
-        with np.load(path, allow_pickle=False) as archive:
-            names = set(archive.files)
-        assert names == set(ARRAY_KEYS) | {
-            "format_version",
-            "carrier",
-            "bearer",
-            "scenario",
-        }

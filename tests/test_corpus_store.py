@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import pickle
@@ -15,7 +16,7 @@ from repro.ran import OPX
 from repro.simulate import fanout
 from repro.simulate.cache import DriveCache
 from repro.simulate.columnar import ARRAY_KEYS
-from repro.simulate.corpus import CorpusStore, CorpusView, DriveRef
+from repro.simulate.corpus import LOCK_NAME, CorpusStore, CorpusView, DriveRef
 from repro.simulate.runner import run_drives, run_drives_to_store
 from repro.simulate.scenarios import freeway_scenario
 from repro.simulate.serialization import log_to_dict
@@ -54,22 +55,6 @@ class TestRoundTrip:
             assert clog.content_digest() == log.columnar().content_digest()
             assert log_to_dict(clog.to_drive_log()) == log_to_dict(log)
 
-    def test_simulated_drive_matches_npz_roundtrip(self, tmp_path, freeway_low_log):
-        """Memmap-backed logs stay bit-identical to the .npz codec."""
-        from repro.simulate.columnar import load_columnar, save_columnar
-
-        npz = tmp_path / "drive.npz"
-        with open(npz, "wb") as fh:
-            save_columnar(freeway_low_log.columnar(), fh)
-        store = CorpusStore(tmp_path / "corpus", enabled=True)
-        store.append("drive", freeway_low_log.columnar())
-        mapped = store.open_slice("drive")
-        via_npz = load_columnar(npz)
-        assert mapped.content_digest() == via_npz.content_digest()
-        assert log_to_dict(mapped.to_drive_log()) == log_to_dict(
-            via_npz.to_drive_log()
-        )
-
     def test_views_read_only_and_survive_reopen(self, tmp_path):
         store, logs = _filled_store(tmp_path)
         clog = CorpusStore(tmp_path, enabled=True).open_slice("d1")
@@ -103,6 +88,7 @@ class TestRoundTrip:
         assert store.stats["shards"] == 3
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == [
+            LOCK_NAME,
             "shard-000000.bin",
             "shard-000000.json",
             "shard-000001.bin",
@@ -123,12 +109,9 @@ class TestRoundTrip:
 
     def test_env_knobs(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CORPUS_DIR", str(tmp_path / "corpus"))
-        store = CorpusStore.from_env()
-        assert store.root == tmp_path / "corpus"
+        assert CorpusStore().root == tmp_path / "corpus"
+        # Without it the default store lands next to the other caches.
         monkeypatch.delenv("REPRO_CORPUS_DIR")
-        assert CorpusStore.from_env() is None
-        # Explicit construction without the env var lands next to the
-        # drive cache.
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         assert CorpusStore().root == tmp_path / "cache" / "corpus"
 
@@ -143,7 +126,11 @@ class TestFailureModes:
         assert store.open_slice("d1") is None
         assert store.stats["misses"] == 1
         names = sorted(p.name for p in tmp_path.iterdir())
-        assert names == ["shard-000000.bin.corrupt", "shard-000000.json.corrupt"]
+        assert names == [
+            LOCK_NAME,
+            "shard-000000.bin.corrupt",
+            "shard-000000.json.corrupt",
+        ]
 
     def test_index_shard_mismatch_detected(self, tmp_path):
         _filled_store(tmp_path)
@@ -164,6 +151,31 @@ class TestFailureModes:
         store = CorpusStore(tmp_path, enabled=True)
         assert store.stats["quarantined"] == 1
         assert store.open_slice("d2") is None
+
+    @pytest.mark.filterwarnings("ignore:Data type alias")
+    def test_damaged_index_never_raises(self, tmp_path):
+        """Bits 0 and 3 of every index byte, flipped one at a time: each
+        read is a slice or a counted miss, never an exception. (Slices
+        through a store handle are unchecked; the drive cache's digest
+        check, fuzzed in test_robust_caches.py, rejects altered ones.)"""
+        CorpusStore(tmp_path, enabled=True).append(
+            "d", make_optional_field_log().columnar()
+        )
+        index = tmp_path / "shard-000000.json"
+        blob = tmp_path / "shard-000000.bin"
+        original = index.read_bytes()
+        for offset in range(len(original)):
+            for bit in (0, 3):
+                damaged = bytearray(original)
+                damaged[offset] ^= 1 << bit
+                index.write_bytes(bytes(damaged))
+                store = CorpusStore(tmp_path, enabled=True)
+                got = store.open_slice("d")
+                counted = store.stats["hits"] if got is not None else store.stats["misses"]
+                assert counted == 1, f"bit {bit} of byte {offset}"
+                if not blob.exists():  # quarantined: put the pair back
+                    blob.with_name(blob.name + ".corrupt").replace(blob)
+                    index.with_name(index.name + ".corrupt").unlink(missing_ok=True)
 
     def test_stale_format_version_skipped_not_quarantined(self, tmp_path):
         _filled_store(tmp_path)
@@ -218,6 +230,108 @@ class TestFailureModes:
         assert reopened.open_slice("d5") is not None
 
 
+def _stress_writer(root, ids):
+    # Child-process body: append every id (each writer its own handle,
+    # opened before any sibling appended), then exit without cleanup.
+    store = CorpusStore(root, enabled=True, shard_mb=0.01)
+    for drive_id in ids:
+        store.append(drive_id, _stress_log(drive_id).columnar())
+    os._exit(0)
+
+
+def _stress_log(drive_id):
+    band = list(BandClass)[int(drive_id.split("-")[1]) % len(BandClass)]
+    return make_optional_field_log(band=band)
+
+
+class TestConcurrentWriters:
+    def test_stale_handle_append_keeps_committed_drive(self, tmp_path):
+        """Two handles opened on one root before either appended."""
+        x = make_optional_field_log(band=BandClass.LOW).columnar()
+        y = make_optional_field_log(band=BandClass.MID).columnar()
+        s1 = CorpusStore(tmp_path, enabled=True)
+        s2 = CorpusStore(tmp_path, enabled=True)
+        assert s1.append("x", x)
+        assert s2.append("y", y)  # s2 has never seen x's bytes
+        assert s1.open_slice("x").content_digest() == x.content_digest()
+        assert s1.open_slice("y").content_digest() == y.content_digest()
+        fresh = CorpusStore(tmp_path, enabled=True)
+        assert sorted(fresh.drive_ids()) == ["x", "y"]
+        # The stale handle also knows x now: re-appending it is a no-op.
+        assert not s2.append("x", x)
+        assert s2.stats["duplicates"] == 1
+
+    def test_processes_append_distinct_and_shared_ids(self, tmp_path):
+        ctx = fanout.fork_context()
+        if ctx is None:
+            pytest.skip("fork start method unavailable")
+        shared = [f"shared-{i}" for i in range(4)]
+        plans = [
+            [f"w{w}-{i}" for i in range(5)] + shared[w % 2 :] + shared[: w % 2]
+            for w in range(3)
+        ]
+        children = [
+            ctx.Process(target=_stress_writer, args=(tmp_path, ids)) for ids in plans
+        ]
+        for child in children:
+            child.start()
+        for child in children:
+            child.join(timeout=120)
+            assert child.exitcode == 0
+        every = sorted({d for ids in plans for d in ids})
+        listed = [
+            d
+            for index in sorted(tmp_path.glob("shard-*.json"))
+            for d in json.loads(index.read_text())["drives"]
+        ]
+        assert sorted(listed) == every  # each drive committed exactly once
+        assert len({p.name for p in tmp_path.glob("shard-*.json")}) > 1
+        assert not list(tmp_path.glob("*.corrupt"))
+        store = CorpusStore(tmp_path, enabled=True)
+        for drive_id in every:
+            got = store.open_slice(drive_id)
+            assert store.verify(drive_id, got)
+            assert got.content_digest() == _stress_log(drive_id).columnar().content_digest()
+        for index in tmp_path.glob("shard-*.json"):
+            committed = json.loads(index.read_text())["committed_bytes"]
+            assert index.with_suffix(".bin").stat().st_size == committed
+
+    def test_stale_read_handle_finds_later_drive(self, tmp_path):
+        """A process-cached read handle sees drives appended after it."""
+        from repro.simulate import corpus
+
+        a, b = _scenarios()[:2]
+        store = CorpusStore(tmp_path / "corpus", enabled=True)
+        view_a = run_drives_to_store([a], workers=1, store=store)
+        try:
+            assert view_a.columnar(0) is not None  # indexes the root
+            view_b = run_drives_to_store([b], workers=1, store=store)
+            got = view_b.columnar(0)
+        finally:
+            corpus._PROCESS_STORES.pop(str(store.root), None)
+        assert got.content_digest() == store.open_slice(view_b.drive_ids[0]).content_digest()
+
+    def test_one_mapping_per_shard(self, tmp_path):
+        def store_fds():
+            # Descriptors open on the store's files (each mapping holds one).
+            count = 0
+            for fd in os.listdir("/proc/self/fd"):
+                with contextlib.suppress(OSError):
+                    count += os.readlink(f"/proc/self/fd/{fd}").startswith(str(tmp_path))
+            return count
+
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("no /proc/self/fd to count descriptors")
+        store = CorpusStore(tmp_path, enabled=True, shard_mb=0.1)
+        log = make_optional_field_log().columnar()
+        for i in range(200):
+            store.append(f"d-{i}", log)
+            assert store.open_slice(f"d-{i}") is not None
+        shards = store.stats["shards"]
+        assert len(store._mmaps) <= shards
+        assert store_fds() <= shards
+
+
 class TestResume:
     def test_resume_after_kill_regenerates_only_missing(self, tmp_path):
         """Kill generation mid-corpus; the rerun simulates only the rest."""
@@ -239,7 +353,7 @@ class TestResume:
 
             CorpusStore.append = mortal_append
             try:
-                run_drives_to_store(scenarios, workers=1, store=store, use_cache=False)
+                run_drives_to_store(scenarios, workers=1, store=store)
             finally:
                 CorpusStore.append = original
             os._exit(0)  # not reached
@@ -251,9 +365,7 @@ class TestResume:
 
         survivor = CorpusStore(root, enabled=True)
         assert len(survivor) == 2  # two committed drives survived the kill
-        view = run_drives_to_store(
-            scenarios, workers=1, store=survivor, use_cache=False
-        )
+        view = run_drives_to_store(scenarios, workers=1, store=survivor)
         assert survivor.stats["appends"] == 1  # only the missing drive ran
         assert len(survivor) == 3
         reference = run_drives(scenarios, workers=1, use_cache=False)
@@ -263,34 +375,14 @@ class TestResume:
     def test_second_build_simulates_nothing(self, tmp_path):
         scenarios = _scenarios()[:2]
         store = CorpusStore(tmp_path / "corpus", enabled=True)
-        run_drives_to_store(scenarios, workers=1, store=store, use_cache=False)
+        run_drives_to_store(scenarios, workers=1, store=store)
         assert store.stats["appends"] == 2
         resumed = CorpusStore(tmp_path / "corpus", enabled=True)
-        view = run_drives_to_store(
-            scenarios, workers=1, store=resumed, use_cache=False
-        )
+        view = run_drives_to_store(scenarios, workers=1, store=resumed)
         assert resumed.stats["appends"] == 0
         reference = run_drives(scenarios, workers=1, use_cache=False)
         for a, b in zip(view, reference):
             assert log_to_dict(a) == log_to_dict(b)
-
-    def test_npz_cache_hits_migrate_instead_of_simulating(self, tmp_path):
-        scenarios = _scenarios()[:2]
-        npz_cache = DriveCache(tmp_path / "cache", store=None)
-        run_drives(scenarios, workers=1, cache=npz_cache)
-        assert npz_cache.stats["stores"] == 2
-
-        store = CorpusStore(tmp_path / "corpus", enabled=True)
-        cache = DriveCache(tmp_path / "cache", store=store)
-        view = run_drives_to_store(scenarios, workers=1, store=store, cache=cache)
-        # Both drives came out of the .npz entries, not the simulator:
-        # migration appends happen inside get_columnar.
-        assert store.stats["appends"] == 2
-        assert cache.stats["hits"] == 2
-        reference = run_drives(scenarios, workers=1, use_cache=False)
-        for a, b in zip(view, reference):
-            assert log_to_dict(a) == log_to_dict(b)
-
 
 class TestDriveCacheDelegation:
     def test_put_appends_to_store_not_npz(self, tmp_path, freeway_low_log):
@@ -301,7 +393,7 @@ class TestDriveCacheDelegation:
         cache.put(scenario, log)
         assert cache.stats["stores"] == 1
         assert store.stats["appends"] == 1
-        assert not (tmp_path / "cache").exists()  # no .npz written
+        assert not (tmp_path / "cache").exists()  # nothing beside the store
         hit = cache.get(scenario)
         assert cache.stats["hits"] == 1
         assert log_to_dict(hit) == log_to_dict(log)
@@ -320,26 +412,14 @@ class TestDriveCacheDelegation:
         ) is None
         assert cache.stats["misses"] == 1
 
-    def test_npz_hit_migrates_into_store(self, tmp_path):
-        scenario = freeway_scenario(OPX, BandClass.LOW, length_km=1.5, seed=47)
-        log = scenario.run()
-        DriveCache(tmp_path / "cache", store=None).put(scenario, log)
-        store = CorpusStore(tmp_path / "corpus", enabled=True)
-        cache = DriveCache(tmp_path / "cache", store=store)
-        first = cache.get_columnar(scenario)
-        assert first is not None and store.stats["appends"] == 1
-        # Second lookup serves the memory-mapped corpus slice.
-        second = cache.get_columnar(scenario)
-        assert store.stats["hits"] == 1
-        assert second.content_digest() == first.content_digest()
-
     def test_env_attaches_store_to_default_cache(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         monkeypatch.setenv("REPRO_CORPUS_DIR", str(tmp_path / "corpus"))
-        cache = DriveCache(tmp_path / "cache")
-        assert isinstance(cache.store, CorpusStore)
-        assert cache.store.root == tmp_path / "corpus"
+        assert DriveCache().store.root == tmp_path / "corpus"
+        # An explicit root keeps its drives under it, env or not.
+        assert DriveCache(tmp_path / "own").store.root == tmp_path / "own" / "corpus"
         monkeypatch.delenv("REPRO_CORPUS_DIR")
-        assert DriveCache(tmp_path / "cache").store is None
+        assert DriveCache().store.root == tmp_path / "cache" / "corpus"
 
 
 class TestViews:
@@ -383,9 +463,7 @@ class TestPrognosOverView:
         scenarios = _scenarios()[:2]
         logs = run_drives(scenarios, workers=1, use_cache=False)
         store = CorpusStore(tmp_path / "corpus", enabled=True)
-        view = run_drives_to_store(
-            scenarios, workers=1, store=store, use_cache=False
-        )
+        view = run_drives_to_store(scenarios, workers=1, store=store)
         configs = configs_for_log(OPX, (BandClass.LOW,))
         from_list = run_prognos_over_logs(logs, configs, stride=64)
         from_view = run_prognos_over_logs(view, configs, stride=64)

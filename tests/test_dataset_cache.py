@@ -157,3 +157,34 @@ def test_corrupt_entry_is_a_miss(tmp_path, logs, dataset):
     path.write_bytes(b"not an npz archive")
     assert cache.get("radio", key) is None
     assert cache.stats["misses"] == 1
+
+
+def test_view_keys_digest_each_drive_once(tmp_path, logs, monkeypatch):
+    """The GBC and LSTM keys over one corpus view hash each drive once."""
+    from repro.simulate import corpus
+    from repro.simulate.columnar import ColumnarLog
+    from tests.conftest import make_optional_field_log
+
+    store = corpus.CorpusStore(tmp_path / "corpus", enabled=True)
+    store.append("a", logs[0].columnar())
+    store.append("b", make_optional_field_log().columnar())
+    view = corpus.CorpusView(store.root, ["a", "b"])
+    digests = []
+    original = ColumnarLog.content_digest
+
+    def counted(self):
+        digests.append(self)
+        return original(self)
+
+    monkeypatch.setattr(ColumnarLog, "content_digest", counted)
+    cache = _cache(tmp_path)
+    try:
+        gbc = cache.key_for("radio", view, {"stride": 5})
+        lstm = cache.key_for("location-seq", view, {"stride": 10})
+        assert len(digests) == 2
+        # The same keys as over the drives as logs.
+        drives = [view[0], view[1]]
+        assert cache.key_for("radio", drives, {"stride": 5}) == gbc
+        assert cache.key_for("location-seq", drives, {"stride": 10}) == lstm
+    finally:
+        corpus._PROCESS_STORES.pop(str(store.root), None)

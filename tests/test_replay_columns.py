@@ -238,7 +238,7 @@ def walk_corpus(tmp_path_factory):
     ]
     logs = run_drives(scenarios, workers=1, use_cache=False)
     store = CorpusStore(tmp_path_factory.mktemp("walks"), enabled=True)
-    view = run_drives_to_store(scenarios, workers=1, store=store, use_cache=False)
+    view = run_drives_to_store(scenarios, workers=1, store=store)
     return logs, view
 
 

@@ -50,7 +50,8 @@ class TestDriveCache:
         cache.put(scenario, drive_log)
         assert cache.stats["put_failures"] == 1
         assert cache.stats["stores"] == 0
-        assert not any(tmp_path.iterdir())
+        # The fault fires at the index commit: no shard index exists.
+        assert not list(tmp_path.rglob("*.json"))
         assert cache.get(scenario) is None
 
     def test_run_drives_survives_write_faults(
@@ -68,23 +69,24 @@ class TestDriveCache:
     ):
         cache = DriveCache(tmp_path)
         cache.put(scenario, drive_log)
-        path = cache._path(cache.key_for(scenario))
-        _truncate(path)
+        blob = tmp_path / "corpus" / "shard-000000.bin"
+        _truncate(blob)
 
         assert cache.get(scenario) is None
-        assert cache.stats["corrupt"] == 1
-        assert not path.exists()
-        assert path.with_name(path.name + ".corrupt").exists()
+        assert cache.store.stats["quarantined"] == 1
+        assert not blob.exists()
+        assert blob.with_name(blob.name + ".corrupt").exists()
 
-        # The quarantined entry is now a cheap ordinary miss, not a
+        # The quarantined shard is now a cheap ordinary miss, not a
         # second decode failure.
         assert cache.get(scenario) is None
-        assert cache.stats["corrupt"] == 1
+        assert cache.store.stats["quarantined"] == 1
         assert cache.stats["misses"] == 2
 
-        # Re-simulating and re-storing heals the slot.
+        # Re-simulating and re-storing heals the slot, in a new shard.
         cache.put(scenario, drive_log)
-        healed = cache.get(scenario)
+        assert (tmp_path / "corpus" / "shard-000001.bin").exists()
+        healed = DriveCache(tmp_path).get(scenario)
         assert healed is not None
         assert log_to_dict(healed) == log_to_dict(drive_log)
 
@@ -93,13 +95,14 @@ class TestDriveCache:
     ):
         monkeypatch.setenv("REPRO_FAULTS", "cache_truncate:times=1")
         cache = DriveCache(tmp_path)
-        cache.put(scenario, drive_log)  # published, then corrupted
+        cache.put(scenario, drive_log)  # published, then index truncated
         assert cache.stats["stores"] == 1
-        assert cache.get(scenario) is None
-        assert cache.stats["corrupt"] == 1
+        reader = DriveCache(tmp_path)
+        assert reader.store.stats["quarantined"] == 1
+        assert reader.get(scenario) is None
 
-        cache.put(scenario, drive_log)  # times=1 exhausted: clean write
-        healed = cache.get(scenario)
+        reader.put(scenario, drive_log)  # times=1 exhausted: clean write
+        healed = DriveCache(tmp_path).get(scenario)
         assert healed is not None
         assert log_to_dict(healed) == log_to_dict(drive_log)
 
@@ -182,16 +185,16 @@ FLIPS = 48
 
 
 def _stored_entry(kind, tmp_path, scenario, drive_log):
-    """(cache, entry path, lookup, equals-the-stored-content predicate)."""
+    """(cache factory, entry files, lookup, equals-the-stored-content)."""
     rng = np.random.default_rng(7)
     if kind == "drive":
-        cache = DriveCache(tmp_path, store=None)
-        cache.put(scenario, drive_log)
+        DriveCache(tmp_path).put(scenario, drive_log)
         want = drive_log.columnar().content_digest()
+        corpus = tmp_path / "corpus"
         return (
-            cache,
-            cache._path(cache.key_for(scenario)),
-            lambda: cache.get(scenario),
+            lambda: DriveCache(tmp_path),  # a fresh handle reads the damage
+            [corpus / "shard-000000.bin", corpus / "shard-000000.json"],
+            lambda cache: cache.get(scenario),
             lambda got: got.columnar().content_digest() == want,
         )
     if kind == "dataset":
@@ -203,9 +206,9 @@ def _stored_entry(kind, tmp_path, scenario, drive_log):
         )
         cache.put("radio", "k" * 8, stored)
         return (
-            cache,
-            cache._path("radio", "k" * 8),
-            lambda: cache.get("radio", "k" * 8),
+            lambda: cache,
+            [cache._path("radio", "k" * 8)],
+            lambda cache: cache.get("radio", "k" * 8),
             lambda got: np.array_equal(got.x, stored.x)
             and np.array_equal(got.times_s, stored.times_s)
             and got.labels == stored.labels,
@@ -214,32 +217,46 @@ def _stored_entry(kind, tmp_path, scenario, drive_log):
     stored = {"weights": rng.normal(size=256), "depth": 3}
     cache.put("gbc", "k" * 8, stored)
     return (
-        cache,
-        cache._path("gbc", "k" * 8),
-        lambda: cache.get("gbc", "k" * 8),
+        lambda: cache,
+        [cache._path("gbc", "k" * 8)],
+        lambda cache: cache.get("gbc", "k" * 8),
         lambda got: np.array_equal(got["weights"], stored["weights"])
         and got["depth"] == stored["depth"],
     )
 
 
+@pytest.mark.filterwarnings("ignore:Data type alias")
 @pytest.mark.parametrize("kind", ["drive", "dataset", "model"])
 def test_bit_flips_serve_intact_or_quarantine(tmp_path, scenario, drive_log, kind):
-    cache, path, lookup, intact = _stored_entry(kind, tmp_path, scenario, drive_log)
-    original = path.read_bytes()
-    quarantined = path.with_name(path.name + ".corrupt")
-    offsets = np.unique(np.linspace(0, len(original) - 1, FLIPS).astype(int))
-    for i, offset in enumerate(offsets.tolist()):
-        damaged = bytearray(original)
-        damaged[offset] ^= 1 << (i % 8)
-        path.write_bytes(bytes(damaged))
-        before = dict(cache.stats)
-        got = lookup()
-        where = f"bit {i % 8} of byte {offset}/{len(original)}"
-        if got is None:
-            assert cache.stats["corrupt"] == before["corrupt"] + 1, where
+    make_cache, paths, lookup, intact = _stored_entry(
+        kind, tmp_path, scenario, drive_log
+    )
+    originals = {path: path.read_bytes() for path in paths}
+    directory = paths[0].parent
+    for path, original in originals.items():
+        offsets = np.unique(np.linspace(0, len(original) - 1, FLIPS).astype(int))
+        for i, offset in enumerate(offsets.tolist()):
+            damaged = bytearray(original)
+            damaged[offset] ^= 1 << (i % 8)
+            for leftover in directory.iterdir():
+                leftover.unlink()
+            for entry, data in originals.items():
+                entry.write_bytes(bytes(damaged) if entry == path else data)
+            cache = make_cache()
+            before = dict(cache.stats)
+            got = lookup(cache)
+            where = f"bit {i % 8} of byte {offset}/{len(original)} of {path.name}"
+            if got is not None:
+                assert intact(got), f"{where} changed the served content"
+                assert cache.stats["hits"] == before["hits"] + 1, where
+                continue
             assert cache.stats["misses"] == before["misses"] + 1, where
-            assert not path.exists() and quarantined.exists(), where
-            quarantined.unlink()
-        else:
-            assert intact(got), f"{where} changed the served content"
-            assert cache.stats["hits"] == before["hits"] + 1, where
+            if kind == "drive":
+                # A damaged shard reads as corrupt, quarantined, stale
+                # or (a flipped drive id) absent; a re-put heals it.
+                cache.put(scenario, drive_log)
+                healed = lookup(make_cache())
+                assert healed is not None and intact(healed), where
+            else:
+                assert cache.stats["corrupt"] == before["corrupt"] + 1, where
+                assert path.with_name(path.name + ".corrupt").exists(), where

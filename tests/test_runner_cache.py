@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.radio.rrs import RadioEnvironment
 from repro.ran import OPX
 from repro.simulate import fanout
 from repro.simulate.cache import DriveCache, atomic_publish, scenario_fingerprint
+from repro.simulate.corpus import LOCK_NAME
 from repro.simulate.runner import run_drives
 from repro.simulate.scenarios import freeway_scenario
 from repro.simulate.serialization import log_to_dict
@@ -45,8 +48,15 @@ def test_cache_round_trip(tmp_path, serial_logs):
         "put_failures": 0,
         "corrupt": 0,
     }
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-        f"{DriveCache.key_for(s)}.npz" for s in scenarios
+    # Drives live only in the cache's corpus store.
+    assert [p.name for p in tmp_path.iterdir()] == ["corpus"]
+    assert sorted(p.name for p in (tmp_path / "corpus").iterdir()) == [
+        LOCK_NAME,
+        "shard-000000.bin",
+        "shard-000000.json",
+    ]
+    assert sorted(cache.store.drive_ids()) == sorted(
+        DriveCache.key_for(s) for s in scenarios
     )
 
     warm = DriveCache(tmp_path)
@@ -92,7 +102,7 @@ def _hammer_put(root, repeats):
 
 
 def test_concurrent_writers_same_key(tmp_path, serial_logs):
-    """Two processes hammer ``put`` on one key; the loser's entry loads."""
+    """Two processes hammer ``put`` on one key; one payload is committed."""
     ctx = fanout.fork_context()
     if ctx is None:
         pytest.skip("fork start method unavailable")
@@ -105,11 +115,13 @@ def test_concurrent_writers_same_key(tmp_path, serial_logs):
         child.join(timeout=120)
         assert child.exitcode == 0
     scenario = _scenarios()[0]
-    leftovers = [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+    corpus = tmp_path / "corpus"
+    leftovers = [p.name for p in corpus.iterdir() if p.name.endswith(".tmp")]
     assert leftovers == []
-    assert [p.name for p in tmp_path.iterdir()] == [
-        f"{DriveCache.key_for(scenario)}.npz"
-    ]
+    (index_path,) = corpus.glob("shard-*.json")
+    meta = json.loads(index_path.read_text())
+    assert list(meta["drives"]) == [DriveCache.key_for(scenario)]
+    assert index_path.with_suffix(".bin").stat().st_size == meta["committed_bytes"]
     survivor = DriveCache(tmp_path).get(scenario)
     assert survivor is not None
     assert log_to_dict(survivor) == log_to_dict(serial_logs[0])
