@@ -1,4 +1,4 @@
-"""ColumnarLog: lossless packing, views, and digests."""
+"""ColumnarLog: lossless packing, the on-disk layout, views, and digests."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import pytest
 from repro.net.bearer import BearerMode
 from repro.radio.bands import BandClass
 from repro.simulate.columnar import ARRAY_KEYS, ColumnarLog
+from repro.simulate.corpus import CorpusStore
 from repro.simulate.serialization import FORMAT_VERSION
 from repro.simulate.serialization import log_to_dict
 from tests.conftest import make_optional_field_log
@@ -91,6 +92,19 @@ class TestBacking:
 
 
 class TestDigest:
+    def test_digest_stable_across_codec(self, freeway_low_log, tmp_path):
+        """The store is the one on-disk codec: a simulated drive's digest
+        survives the append and a fresh handle's memory-mapped slice, and
+        is the digest its index entry records for checked hits."""
+        clog = freeway_low_log.columnar()
+        CorpusStore(tmp_path, enabled=True).append("drive", clog)
+        store = CorpusStore(tmp_path, enabled=True)
+        mapped = store.open_slice("drive")
+        assert mapped.content_digest() == clog.content_digest()
+        assert store.verify("drive", mapped)
+        index = json.loads((tmp_path / "shard-000000.json").read_text())
+        assert index["drives"]["drive"]["digest"] == clog.content_digest()
+
     def test_digest_hashes_array_bytes(self):
         """The digest reads each array through the buffer protocol, and
         equals the formula that hashed ``.tobytes()`` copies, for every
@@ -129,3 +143,41 @@ class TestDigest:
         assert token == freeway_low_log.columnar().content_digest()
         # Memoized on the instance.
         assert log_content_digest(freeway_low_log) == token
+
+
+class TestFormat:
+    def test_archive_holds_exactly_the_canonical_arrays(self, tmp_path):
+        """A stored drive is its canonical arrays, packed back to back at
+        aligned offsets, plus the scalar metadata in its index entry."""
+        log = make_optional_field_log(bearer=BearerMode.FIVE_G_ONLY)
+        clog = log.columnar()
+        CorpusStore(tmp_path, enabled=True).append("drive", clog)
+        meta = json.loads((tmp_path / "shard-000000.json").read_text())
+        entry = meta["drives"]["drive"]
+        assert set(entry) == {
+            "carrier",
+            "bearer",
+            "scenario",
+            "digest",
+            "offset",
+            "nbytes",
+            "arrays",
+        }
+        assert set(entry["arrays"]) == set(ARRAY_KEYS)
+        assert (entry["carrier"], entry["bearer"], entry["scenario"]) == (
+            clog.carrier,
+            "FIVE_G_ONLY",
+            clog.scenario,
+        )
+        blob = (tmp_path / "shard-000000.bin").read_bytes()
+        assert entry["offset"] == 0
+        assert len(blob) == entry["nbytes"] == meta["committed_bytes"]
+        end = 0
+        for key in ARRAY_KEYS:
+            array = clog.arrays[key]
+            spec = entry["arrays"][key]
+            assert spec["offset"] >= end
+            assert (spec["dtype"], spec["shape"]) == (array.dtype.str, list(array.shape))
+            end = spec["offset"] + array.nbytes
+            assert blob[spec["offset"] : end] == np.ascontiguousarray(array).tobytes()
+        assert end <= entry["nbytes"]
