@@ -3,9 +3,10 @@
 The worker pools in :func:`repro.simulate.runner.run_drives`,
 :func:`repro.core.evaluation.run_prognos_over_logs`, and
 :func:`repro.apps.abr.player.play_many` no longer pickle their payloads
-per job: the corpus (scenarios / drive logs / play jobs) is parked in
-:mod:`repro.simulate.fanout` before the pool forks, each worker job is
-just a ``(token, index)`` pair, and results come back in job order.
+per job: :func:`repro.robust.supervisor.supervised_map` parks the job
+list (scenarios / drive logs / play jobs) in its registry before the
+pool forks, each worker job ships as a registry token plus an index,
+and results come back in job order.
 
 This bench quantifies both halves of that change: the bytes a job would
 have shipped under pickle-per-job vs. what the indexed jobs ship now
@@ -13,7 +14,7 @@ have shipped under pickle-per-job vs. what the indexed jobs ship now
 fanned stages at 1 vs. 4 workers (asserted only on multi-core hosts,
 since a single-CPU container cannot win from parallelism). It also
 prices the supervision layer (:mod:`repro.robust`): the same play jobs
-through the supervised ``fanout_map`` vs the retained pre-supervision
+through ``supervised_map`` vs the retained pre-supervision
 ``fanout_map_unsupervised``, best of 2, asserted <= 1.05x on the warm
 no-fault path. Results land in ``BENCH_corpus_fanout.json`` at the repo
 root, including the host's CPU count so the timing numbers can be read
@@ -30,13 +31,13 @@ import pickle
 from pathlib import Path
 
 from repro.apps.abr.algorithms import FastMpc, Festive, RateBased, RobustMpc
-from repro.apps.abr.player import _play_job, _play_job_indexed, play_many
+from repro.apps.abr.player import _play_job, play_many
 from repro.core.evaluation import configs_for_log, run_prognos_over_logs
-from repro.simulate import fanout
 from repro.net.emulation import BandwidthTrace
 from repro.perf import Timer
 from repro.radio.bands import BandClass
 from repro.ran import OPX
+from repro.robust.supervisor import fanout_map_unsupervised, supervised_map
 from repro.simulate.runner import run_drives
 from repro.simulate.scenarios import city_walk_scenario
 
@@ -126,24 +127,10 @@ def test_corpus_fanout(corpus):
     # pre-supervision reference, same jobs, same workers. Best-of-2 each
     # so a cold first pool (fork, page faults) doesn't bill supervision.
     def supervised():
-        return fanout.fanout_map(
-            _play_job_indexed,
-            play_jobs,
-            len(play_jobs),
-            FAN_WORKERS,
-            fallback_fn=_play_job,
-            fallback_jobs=play_jobs,
-        )
+        return supervised_map(_play_job, play_jobs, FAN_WORKERS)
 
     def unsupervised():
-        return fanout.fanout_map_unsupervised(
-            _play_job_indexed,
-            play_jobs,
-            len(play_jobs),
-            FAN_WORKERS,
-            fallback_fn=_play_job,
-            fallback_jobs=play_jobs,
-        )
+        return fanout_map_unsupervised(_play_job, play_jobs, FAN_WORKERS)
 
     sup_results = supervised()
     unsup_results = unsupervised()

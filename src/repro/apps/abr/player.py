@@ -23,7 +23,7 @@ from repro.apps.abr.prediction import (
     effective_score,
 )
 from repro.net.emulation import BandwidthTrace, TraceDrivenLink
-from repro.simulate import fanout
+from repro.robust.supervisor import supervised_map
 
 #: 16K panoramic ladder (Mbps): 720p, 1080p, 2K, 4K, 8K, 16K.
 VIDEO_LEVELS_MBPS = [6.0, 12.0, 24.0, 50.0, 105.0, 210.0]
@@ -162,16 +162,9 @@ PlayJob = tuple[
 
 
 def _play_job(job: PlayJob) -> VodResult:
-    # Module-level so ProcessPoolExecutor can pickle it by reference.
+    # Module-level so the pool pickles it by reference.
     factory, trace, feed, events = job
     return VodPlayer(factory(), feed=feed).play(trace, events)
-
-
-def _play_job_indexed(job: tuple[int, int]) -> VodResult:
-    # Fork-inherited fan-out worker: resolve the session by index so
-    # traces/feeds are never pickled per job.
-    token, index = job
-    return _play_job(fanout.payload(token)[index])
 
 
 def play_many(jobs: Iterable[PlayJob], *, workers: int | None = None) -> list[VodResult]:
@@ -179,10 +172,10 @@ def play_many(jobs: Iterable[PlayJob], *, workers: int | None = None) -> list[Vo
 
     Sessions are independent (each builds its own link/predictor), so
     they fan out exactly like :func:`repro.simulate.runner.run_drives`,
-    and like it they ship no payload: the job list (traces included) is
-    fork-inherited via :mod:`repro.simulate.fanout`, each worker job is
-    just an index. Results come back in job order regardless of worker
-    count. The pass is supervised (:mod:`repro.robust`): a crashed or
+    through :func:`repro.robust.supervisor.supervised_map`: where
+    ``fork`` exists the job list (traces included) is inherited and
+    each worker job is just an index. Results come back in job order
+    regardless of worker count. The pass is supervised: a crashed or
     hung session is retried (deadline ``REPRO_JOB_TIMEOUT_S``) and the
     pool degrades to serial execution rather than losing the run.
 
@@ -193,16 +186,6 @@ def play_many(jobs: Iterable[PlayJob], *, workers: int | None = None) -> list[Vo
     """
     from repro.simulate.runner import default_workers
 
-    jobs = list(jobs)
     if workers is None:
         workers = default_workers()
-    if workers <= 1 or len(jobs) <= 1:
-        return [_play_job(job) for job in jobs]
-    return fanout.fanout_map(
-        _play_job_indexed,
-        jobs,
-        len(jobs),
-        workers,
-        fallback_fn=_play_job,
-        fallback_jobs=jobs,
-    )
+    return supervised_map(_play_job, jobs, workers)

@@ -55,9 +55,9 @@ from repro.ml.metrics import (
 )
 from repro.radio.bands import BandClass
 from repro.ran.carrier import CarrierProfile
+from repro.robust.supervisor import supervised_map
 from repro.rrc.events import EventConfig, MeasurementObject
 from repro.rrc.taxonomy import HandoverType
-from repro.simulate import fanout
 from repro.simulate.columnar import as_columnar
 from repro.simulate.corpus import CorpusView
 from repro.simulate.records import DriveLog, TickRecord
@@ -348,28 +348,16 @@ def _forecast_steps(
     return forecasts
 
 
-def _plan_and_forecast_star(
+def _plan_and_forecast(
     args: tuple,
 ) -> tuple[_ReplayPlan, list[list[tuple[str, float]]]]:
-    # Module-level so ProcessPoolExecutor can pickle it by reference.
-    # The log slot may be a corpus DriveRef — a (store_path, drive_id)
-    # pointer whose slice the plan reads in whichever process runs the
-    # job, so the spawn fallback ships bytes, not corpora.
+    # Module-level so the pool pickles it by reference. The log slot
+    # may be a corpus DriveRef — a (store_path, drive_id) pointer whose
+    # slice the plan reads in whichever process runs the job, so a
+    # spawn pool ships bytes, not corpora.
     log, window_s, stride, event_configs, config = args
     plan = _replay_plan(log, window_s, stride)
     return plan, _forecast_steps(plan, event_configs, config)
-
-
-def _plan_and_forecast_indexed(
-    job: tuple[int, int],
-) -> tuple[_ReplayPlan, list[list[tuple[str, float]]]]:
-    # Fork-inherited fan-out worker: the corpus and replay parameters
-    # arrive via shared memory, only (token, index) is shipped. With a
-    # corpus store the parked list holds DriveRefs, so the inherited
-    # payload is pointers and each worker maps its own slice lazily.
-    token, index = job
-    logs, window_s, stride, event_configs, config = fanout.payload(token)
-    return _plan_and_forecast_star((logs[index], window_s, stride, event_configs, config))
 
 
 def _handover_events(logs) -> list[tuple[float, HandoverType]]:
@@ -403,12 +391,12 @@ def run_prognos_over_logs(
     sequential; the per-log *plan + report-forecast* stages carry no
     learner state, so ``workers`` > 1 fans them out over a process pool
     (results are identical for any worker count, and bit-identical to
-    :func:`run_prognos_over_logs_reference`). The pool ships no logs:
-    the corpus is fork-inherited via :mod:`repro.simulate.fanout` and
-    each job carries only an index. The pass is supervised
-    (:mod:`repro.robust`): crashed or hung workers are retried
-    (deadline ``REPRO_JOB_TIMEOUT_S``) and the pool degrades to serial
-    execution rather than losing the run.
+    :func:`run_prognos_over_logs_reference`). ``workers=None`` means 1:
+    this pass does not read ``REPRO_BENCH_WORKERS``. The plan jobs go
+    to :func:`repro.robust.supervisor.supervised_map`, which ships no
+    logs where ``fork`` exists and supervises the pass: crashed or hung
+    workers are retried (deadline ``REPRO_JOB_TIMEOUT_S``) and the pool
+    degrades to serial execution rather than losing the run.
 
     Plans are built from packed columns (:func:`_replay_plan`), never
     from tick objects. ``logs`` may be a
@@ -420,21 +408,12 @@ def run_prognos_over_logs(
     index is a column scan over the shards. A list of ``DriveLog``
     objects replays through each log's memoized packing.
     """
-    if workers is None:
-        workers = 1
     handles = logs.refs() if isinstance(logs, CorpusView) else list(logs)
-    tasks = [(h, window_s, stride, event_configs, config) for h in handles]
-    if workers > 1 and len(logs) > 1:
-        staged = fanout.fanout_map(
-            _plan_and_forecast_indexed,
-            (handles, window_s, stride, event_configs, config),
-            len(handles),
-            workers,
-            fallback_fn=_plan_and_forecast_star,
-            fallback_jobs=tasks,
-        )
-    else:
-        staged = [_plan_and_forecast_star(task) for task in tasks]
+    staged = supervised_map(
+        _plan_and_forecast,
+        [(h, window_s, stride, event_configs, config) for h in handles],
+        workers or 1,
+    )
 
     prognos = Prognos(event_configs, config, ho_scores)
     if bootstrap:
@@ -736,13 +715,6 @@ def _table3_cell(spec: tuple) -> Table3Row:
     )
 
 
-def _table3_cell_indexed(job: tuple[int, int]) -> Table3Row:
-    # Fork-inherited fan-out worker: resolve the cell spec by index so
-    # the dataset corpora are never pickled per cell.
-    token, index = job
-    return _table3_cell(fanout.payload(token)[index])
-
-
 def table3(
     datasets: dict[str, list[DriveLog]],
     carrier: CarrierProfile,
@@ -765,13 +737,4 @@ def table3(
         for name, logs in datasets.items()
         for method in ("GBC", "Stacked LSTM", "Prognos")
     ]
-    if workers <= 1 or len(specs) == 1:
-        return [_table3_cell(spec) for spec in specs]
-    return fanout.fanout_map(
-        _table3_cell_indexed,
-        specs,
-        len(specs),
-        workers,
-        fallback_fn=_table3_cell,
-        fallback_jobs=specs,
-    )
+    return supervised_map(_table3_cell, specs, workers)

@@ -13,19 +13,21 @@ disk, and none of that should lose a run.
 This package supplies the two halves of that guarantee:
 
 * :mod:`repro.robust.supervisor` — :func:`~supervisor.supervised_map`
-  wraps every pool pass with per-job timeouts
-  (``REPRO_JOB_TIMEOUT_S``), bounded retries with deterministic
-  jittered backoff, broken-pool recovery
-  (rebuild, re-run only unfinished jobs, degrade to serial in-process
-  execution after repeated pool deaths), and incremental result
-  publication so completed jobs survive a later fault.
+  is the one entry point for a batch of jobs. It decides how jobs
+  reach the workers (fork-inherited, or pickled to a spawn pool) and
+  when no pool runs at all, and it wraps every pool pass with per-job
+  timeouts (``REPRO_JOB_TIMEOUT_S``), bounded retries with
+  deterministic jittered backoff, broken-pool recovery (rebuild, re-run
+  only unfinished jobs, degrade to serial in-process execution after
+  repeated pool deaths), and incremental result publication so
+  completed jobs survive a later fault.
 * :mod:`repro.robust.faults` — a deterministic fault-injection
   harness driven by the ``REPRO_FAULTS`` env spec, used by the test
   suite to prove every recovery path end-to-end.
 
 With no faults injected the supervised pools produce bit-identical
 results to the unsupervised reference path
-(:func:`repro.simulate.fanout.fanout_map_unsupervised`).
+(:func:`repro.robust.supervisor.fanout_map_unsupervised`).
 """
 
 from repro.robust import faults

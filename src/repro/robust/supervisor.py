@@ -1,10 +1,35 @@
-"""Supervised process-pool mapping: timeouts, retries, pool recovery.
+"""Supervised process-pool mapping: the one way to run a batch of jobs.
 
-:func:`supervised_map` is the one engine behind every pool pass in the
-repository (:func:`repro.simulate.fanout.fanout_map` delegates here).
-It preserves the zero-copy fan-out semantics — fork-inherited payload,
-``(token, index)`` jobs, results in input order, bit-identical output —
-and adds the supervision a production corpus run needs:
+``supervised_map(fn, jobs, workers)`` runs every batch in the
+repository: the drive simulations of
+:func:`repro.simulate.runner.run_drives`, the plan jobs of
+:func:`repro.core.evaluation.run_prognos_over_logs`, the Table 3 cells
+of :func:`repro.core.evaluation.table3` and the VoD sessions of
+:func:`repro.apps.abr.player.play_many`. Each caller hands it one
+module-level job function and its job list; how a job reaches a worker,
+and whether a pool runs at all, is decided here and nowhere else:
+
+* **No pool.** With ``workers <= 1`` or fewer than two jobs, ``fn``
+  runs in-process in job order, ``on_result`` fires per job, and
+  :func:`last_run_stats` keeps the stats of the last pool.
+* **Fork** (the default where the platform has it). ``jobs`` is parked
+  in a module-level registry *before* the pool starts, so the workers
+  inherit it (copy-on-write pages, no serialization, no re-deriving of
+  parent-process memoisation such as
+  :func:`repro.simulate.cache.code_version_token`), and each job ships
+  as a registry token plus its index: tens of bytes instead of a
+  pickled drive log, trace or scenario graph.
+* **Spawn** (platforms without ``fork``, or ``REPRO_FORCE_SPAWN=1`` so
+  Linux CI exercises it too). The jobs themselves are pickled to a
+  spawn pool. Results are identical either way; only the shipping cost
+  differs. Store-backed passes hand over
+  :class:`~repro.simulate.corpus.DriveRef` pointers, so even their
+  spawn pickles stay small and each worker maps only the slices its
+  job reads.
+
+``fn`` is pickled by reference in every case, and jobs go out in chunks
+(:func:`pool_chunksize`), so a pool pass costs a handful of IPC
+round-trips. On top of that shipping the pass is supervised:
 
 * **Per-job timeouts** (``REPRO_JOB_TIMEOUT_S``, default off). Chunked
   submissions get ``timeout × len(chunk)``; once a pool has misbehaved
@@ -20,7 +45,7 @@ and adds the supervision a production corpus run needs:
   is killed — workers terminated best-effort — and treated the same
   way.
 * **Degradation ladder.** chunked pool → chunk-1 pool rebuilds →
-  serial in-process execution, entered after
+  serial ``fn(jobs[i])`` in the parent, entered after
   :data:`MAX_POOL_REBUILDS` pool deaths or per job once its retry
   budget is exhausted. Serial execution cannot be preempted, so it
   runs without a timeout; it also bypasses the worker fault hooks,
@@ -36,13 +61,16 @@ and adds the supervision a production corpus run needs:
   shard indexes atomically, so a killed build restarts from the drives
   already on disk.
 
-``REPRO_FORCE_SPAWN=1`` forces the spawn/pickle fallback path (the one
-platforms without ``fork`` take), so Linux CI exercises it too.
+:func:`fanout_map_unsupervised` is the pre-supervision pass — one plain
+``pool.map`` over the same shipping, with no recovery — kept as the
+reference the equivalence tests and the fan-out bench compare against.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import itertools
 import multiprocessing
 import os
 import signal
@@ -50,11 +78,11 @@ import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from functools import partial
+from typing import Any, Callable, Iterator, Sequence
 
 from repro import settings
 from repro.robust import faults
-from repro.simulate import fanout
 
 #: Pool deaths (crash or wedge) tolerated before degrading to serial.
 MAX_POOL_REBUILDS = 2
@@ -65,10 +93,15 @@ BACKOFF_BASE_S = 0.05
 #: Default retry budget per job before it degrades to serial execution.
 JOB_RETRIES = 2
 
+#: Fork-inherited job lists, keyed by token. Only ever mutated in the
+#: parent *before* a pool starts; workers see a frozen snapshot.
+_REGISTRY: dict[int, Sequence[Any]] = {}
+_tokens = itertools.count()
+
 
 @dataclass
 class RunStats:
-    """What one :func:`supervised_map` call had to do to finish."""
+    """What one pooled :func:`supervised_map` call had to do to finish."""
 
     jobs: int = 0
     retried_jobs: int = 0
@@ -83,7 +116,7 @@ _last_run_stats: RunStats | None = None
 
 
 def last_run_stats() -> RunStats | None:
-    """Stats of the most recent :func:`supervised_map` in this process."""
+    """Stats of the most recent pooled :func:`supervised_map` call."""
     return _last_run_stats
 
 
@@ -97,6 +130,35 @@ def backoff_s(round_no: int, salt: object = "") -> float:
     digest = hashlib.sha256(f"{round_no}|{salt}".encode()).digest()
     jitter = int.from_bytes(digest[:8], "big") / 2.0**64
     return BACKOFF_BASE_S * (2 ** min(round_no, 3)) * (0.5 + jitter)
+
+
+def fork_context():
+    """The ``fork`` multiprocessing context, or None where unsupported."""
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:
+        return None
+
+
+def _shipping_context():
+    """The fork context, or None when jobs must be pickled to spawn workers."""
+    return None if settings.get("REPRO_FORCE_SPAWN") else fork_context()
+
+
+def pool_chunksize(jobs: int, workers: int) -> int:
+    """Batch jobs so each worker drains ~4 chunks, not one IPC per job."""
+    return max(1, jobs // (max(1, workers) * 4))
+
+
+@contextlib.contextmanager
+def _park(jobs: Sequence[Any]) -> Iterator[int]:
+    """Park ``jobs`` for fork inheritance; yields their registry token."""
+    token = next(_tokens)
+    _REGISTRY[token] = jobs
+    try:
+        yield token
+    finally:
+        _REGISTRY.pop(token, None)
 
 
 def reap_process(
@@ -133,15 +195,21 @@ def reap_process(
 
 
 def _run_chunk(
-    fn: Callable[[Any], Any], items: Sequence[tuple[int, Any]], attempt: int
+    fn: Callable[[Any], Any],
+    token: int | None,
+    part: Sequence[tuple[int, Any]],
+    attempt: int,
 ) -> list[tuple[int, Any]]:
-    # Worker-side: runs in the pool processes (fork or spawn). The
-    # fault hook lives here — and only here — so injected crashes and
-    # hangs never fire in the parent or on the serial path.
+    # Worker-side: runs in the pool processes. A forked worker reads
+    # each job from its inherited registry (``part`` carries indices
+    # only); a spawned one received the pickled jobs. The fault hook
+    # lives here — and only here — so injected crashes and hangs never
+    # fire in the parent or on the serial path.
+    jobs = None if token is None else _REGISTRY[token]
     out = []
-    for key, arg in items:
+    for key, job in part:
         faults.maybe_fail_job(key, attempt)
-        out.append((key, fn(arg)))
+        out.append((key, fn(job if jobs is None else jobs[key])))
     return out
 
 
@@ -164,6 +232,7 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
 
 def _pool_round(
     fn: Callable[[Any], Any],
+    token: int | None,
     items: Sequence[tuple[int, Any]],
     workers: int,
     mp_ctx,
@@ -185,7 +254,8 @@ def _pool_round(
         for part in chunks:
             attempt = max(attempts[key] for key, _ in part)
             deadline = None if timeout is None else start + timeout * len(part)
-            futures[pool.submit(_run_chunk, fn, part, attempt)] = (part, deadline)
+            future = pool.submit(_run_chunk, fn, token, part, attempt)
+            futures[future] = (part, deadline)
         not_done: set[Future] = set(futures)
         while not_done:
             wait_s = None
@@ -241,49 +311,52 @@ def _pool_round(
 
 def _supervise(
     fn: Callable[[Any], Any],
-    items: list[tuple[int, Any]],
+    jobs: Sequence[Any],
+    token: int | None,
     workers: int,
     mp_ctx,
     on_result: Callable[[int, Any], None] | None,
-    timeout: float | None,
     retries: int,
     stats: RunStats,
 ) -> list[Any]:
     results: dict[int, Any] = {}
-    attempts: dict[int, int] = {key: 0 for key, _ in items}
+    attempts: dict[int, int] = {key: 0 for key in range(len(jobs))}
+    timeout = job_timeout_s()
 
     def publish(key: int, value: Any) -> None:
         stats.published += 1
         if on_result is not None:
             on_result(key, value)
 
-    def run_serial(batch: Sequence[tuple[int, Any]]) -> None:
-        for key, arg in batch:
-            value = fn(arg)
+    def run_serial(keys: Sequence[int]) -> None:
+        for key in keys:
+            value = fn(jobs[key])
             results[key] = value
             stats.serial_jobs += 1
             publish(key, value)
 
-    remaining = list(items)
+    remaining = list(range(len(jobs)))
     pool_deaths = 0
     while remaining:
-        if workers <= 1 or len(remaining) == 1 or pool_deaths >= MAX_POOL_REBUILDS:
+        if len(remaining) == 1 or pool_deaths >= MAX_POOL_REBUILDS:
             run_serial(remaining)
             break
         # Jobs that exhausted their retry budget drop out of the pool
         # and run serially in-process — the bottom of the ladder.
-        exhausted = [(k, a) for k, a in remaining if attempts[k] > retries]
+        exhausted = [k for k in remaining if attempts[k] > retries]
         if exhausted:
             run_serial(exhausted)
-            remaining = [(k, a) for k, a in remaining if attempts[k] <= retries]
+            remaining = [k for k in remaining if attempts[k] <= retries]
             if not remaining:
                 break
-        chunk = (
-            fanout.pool_chunksize(len(remaining), workers) if pool_deaths == 0 else 1
-        )
+        chunk = pool_chunksize(len(remaining), workers) if pool_deaths == 0 else 1
+        # Under fork a job ships as its index alone; the worker reads
+        # the job from its inherited registry.
+        items = [(k, None if token is not None else jobs[k]) for k in remaining]
         unfinished, pool_died = _pool_round(
             fn,
-            remaining,
+            token,
+            items,
             min(workers, len(remaining)),
             mp_ctx,
             chunk,
@@ -298,56 +371,81 @@ def _supervise(
             stats.pool_rebuilds += 1
         if unfinished:
             stats.retried_jobs += sum(1 for k in unfinished if attempts[k] > 0)
-            arg_of = dict(remaining)
-            remaining = [(k, arg_of[k]) for k, _ in remaining if k in unfinished]
+            remaining = [k for k in remaining if k in unfinished]
             time.sleep(backoff_s(pool_deaths, salt=len(remaining)))
         else:
             remaining = []
-    return [results[key] for key, _ in items]
+    return [results[key] for key in range(len(jobs))]
 
 
 def supervised_map(
-    indexed_fn: Callable[[tuple[int, int]], Any],
-    payload_value: Any,
-    count: int,
+    fn: Callable[[Any], Any],
+    jobs: Sequence[Any],
     workers: int,
     *,
-    fallback_fn: Callable[[Any], Any],
-    fallback_jobs: Sequence[Any],
     on_result: Callable[[int, Any], None] | None = None,
-    timeout_s: float | None | str = "env",
     retries: int = JOB_RETRIES,
 ) -> list[Any]:
-    """Map ``count`` jobs over a supervised process pool.
+    """``[fn(job) for job in jobs]``, over a supervised pool of ``workers``.
 
-    The signature extends :func:`repro.simulate.fanout.fanout_map`:
-    same zero-copy fork-inherited payload and pickle fallback, same
-    input-order results, plus supervision. ``on_result`` receives
-    ``(index, result)`` in the parent as each job first completes.
-    ``timeout_s`` defaults to the ``REPRO_JOB_TIMEOUT_S`` env knob.
+    ``fn`` must be a module-level function: workers import it by
+    reference. Results come back in job order, identical for any worker
+    count and either start method. ``on_result(index, result)`` fires in
+    the parent as each job first completes (in job order when no pool
+    runs). The per-job deadline is ``REPRO_JOB_TIMEOUT_S``.
     """
     global _last_run_stats
-    workers = max(1, min(workers, count))
-    timeout = job_timeout_s() if timeout_s == "env" else timeout_s
-    stats = RunStats(jobs=count)
+    jobs = list(jobs)
+    if workers <= 1 or len(jobs) <= 1:
+        results = []
+        for index, job in enumerate(jobs):
+            results.append(fn(job))
+            if on_result is not None:
+                on_result(index, results[-1])
+        return results
+    stats = RunStats(jobs=len(jobs))
     _last_run_stats = stats
+    ctx = _shipping_context()
+    stats.start_method = "spawn" if ctx is None else "fork"
+    parked = contextlib.nullcontext() if ctx is None else _park(jobs)
+    with parked as token:
+        return _supervise(
+            fn,
+            jobs,
+            token,
+            min(workers, len(jobs)),
+            ctx or multiprocessing.get_context("spawn"),
+            on_result,
+            retries,
+            stats,
+        )
 
-    ctx = None if fanout.force_spawn() else fanout.fork_context()
-    if ctx is not None:
-        stats.start_method = "fork"
-        with fanout.shared_payload(payload_value) as token:
-            items = [(i, (token, i)) for i in range(count)]
-            return _supervise(
-                indexed_fn, items, workers, ctx, on_result, timeout, retries, stats
+
+def _run_parked(fn: Callable[[Any], Any], token: int, index: int) -> Any:
+    return fn(_REGISTRY[token][index])
+
+
+def fanout_map_unsupervised(
+    fn: Callable[[Any], Any], jobs: Sequence[Any], workers: int
+) -> list[Any]:
+    """The pre-supervision pool pass (reference for equivalence/overhead).
+
+    One plain ``pool.map`` over the same shipping as
+    :func:`supervised_map`, with no recovery: a crashed or hung worker
+    loses the whole pass. Kept so tests can pin :func:`supervised_map`
+    output against it and the fan-out bench can price supervision.
+    """
+    jobs = list(jobs)
+    workers = max(1, min(workers, len(jobs)))
+    chunk = pool_chunksize(len(jobs), workers)
+    ctx = _shipping_context()
+    if ctx is None:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, jobs, chunksize=chunk))
+    with _park(jobs) as token:
+        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+            return list(
+                pool.map(
+                    partial(_run_parked, fn, token), range(len(jobs)), chunksize=chunk
+                )
             )
-    # No fork (or REPRO_FORCE_SPAWN=1): ship the jobs themselves over a
-    # spawn pool — the path Windows/macOS always take.
-    stats.start_method = "spawn"
-    try:
-        spawn_ctx = multiprocessing.get_context("spawn")
-    except ValueError:  # pragma: no cover - every CPython has spawn
-        spawn_ctx = None
-    items = [(i, job) for i, job in enumerate(fallback_jobs)]
-    return _supervise(
-        fallback_fn, items, workers, spawn_ctx, on_result, timeout, retries, stats
-    )

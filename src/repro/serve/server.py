@@ -13,9 +13,9 @@ degraded afterthought.
 
 Backpressure, per session and never global:
 
-* **inbound** — a session may have at most ``inbox_limit`` unanswered
-  ticks; past that its reader stops reading, which pushes back through
-  TCP to the client. Other sessions are unaffected.
+* **inbound** — a session may have at most :data:`INBOX_LIMIT`
+  unanswered ticks; past that its reader stops reading, which pushes
+  back through TCP to the client. Other sessions are unaffected.
 * **outbound** — predictions queue in a per-session outbox flushed by a
   small writer task that respects the transport's write buffer. A slow
   consumer fills its outbox; policy ``"drop"`` (default) then evicts
@@ -40,10 +40,10 @@ Resilience (see DESIGN.md §6d for the full ladder):
   ``REPRO_SERVE_HEARTBEAT_S``, evicts dead peers at twice that, and
   expires parked sessions at four times (reasons surfaced in the bye
   and in stats).
-* **Admission control** — past ``ServerConfig.max_sessions`` (or a
-  configured backlog ceiling) new hellos are shed with a JSON ``busy``
-  carrying ``retry_after`` instead of degrading every session; resumes
-  are exempt (their session is already accounted).
+* **Admission control** — past ``ServerConfig.max_sessions`` new
+  hellos are shed with a JSON ``busy`` carrying ``retry_after`` instead
+  of degrading every session; resumes are exempt (their session is
+  already accounted).
 * **Graceful drain** — :meth:`PrognosServer.drain` stops accepting,
   lets in-flight ticks finish within ``ServerConfig.drain_s``, sends
   every client a bye carrying its resume token, then closes; parked
@@ -70,8 +70,6 @@ from dataclasses import dataclass
 
 from repro import settings
 from repro.apps.abr.algorithms import mpc_select_many
-from repro.core.patterns import Pattern
-from repro.core.prognos import PrognosConfig
 from repro.serve import protocol
 from repro.serve.batcher import BatchCollector
 from repro.serve.protocol import FrameError, frame, read_frame
@@ -85,6 +83,12 @@ _POLICIES = ("drop", "disconnect")
 #: client-side restart.
 MAX_EXPORT = 4 << 20
 
+#: Max unanswered ticks per session before its reader stops reading.
+INBOX_LIMIT = 64
+
+#: Transport write-buffer high water (bytes) the flusher respects.
+WRITE_HIGH_WATER = 256 * 1024
+
 _HEARTBEAT = frame(b"H")
 
 
@@ -96,12 +100,8 @@ class ServerConfig:
     port: int = 0
     #: Micro-batched engine vs inline per-session sequential serving.
     batched: bool = True
-    #: Max unanswered ticks per session before its reader stops reading.
-    inbox_limit: int = 64
     #: Max queued predictions per slow session before the policy bites.
     outbox_limit: int = 256
-    #: Transport write-buffer high water (bytes) the flusher respects.
-    write_high_water: int = 256 * 1024
     #: Engine crash budget before the server degrades to sequential.
     engine_restarts: int = 2
     #: Engine worker processes. ``None`` reads ``REPRO_SERVE_SHARDS``
@@ -122,13 +122,8 @@ class ServerConfig:
     heartbeat_s: float | None = None
     #: Admission ceiling on concurrent sessions (live + parked); 0 = off.
     max_sessions: int = 0
-    #: Shed new hellos when total unanswered ticks reach this (0 = off).
-    shed_backlog: int = 0
     #: Drain deadline, seconds.
     drain_s: float = 5.0
-    prognos_config: PrognosConfig | None = None
-    #: Offline-mined patterns every new session warm-starts from.
-    bootstrap: dict[Pattern, int] | None = None
 
 
 class _Connection:
@@ -469,9 +464,7 @@ class PrognosServer:
             conn = await self._handshake(reader, writer, first_payload)
             if conn is None:
                 return
-            writer.transport.set_write_buffer_limits(
-                high=self.config.write_high_water
-            )
+            writer.transport.set_write_buffer_limits(high=WRITE_HIGH_WATER)
             if self.config.batched and conn.flusher is None:
                 conn.flusher = asyncio.create_task(self._flush_loop(conn))
             await self._read_loop(conn)
@@ -507,9 +500,6 @@ class PrognosServer:
         count = len(self._sessions) - (1 if replacing else 0)
         if limit and count >= limit:
             return round(min(2.0, 0.05 * (count - limit + 1) + 0.05), 3)
-        backlog = self.config.shed_backlog
-        if backlog and sum(s.pending for s in self._sessions.values()) >= backlog:
-            return 0.1
         return None
 
     async def _send_busy(self, writer, retry_after: float) -> None:
@@ -586,9 +576,7 @@ class PrognosServer:
         session = ServingSession(
             session_id,
             configs,
-            prognos_config=self.config.prognos_config,
             standalone=bool(hello.get("standalone", False)),
-            bootstrap=self.config.bootstrap,
             levels_mbps=levels,
             chunk_s=float(abr.get("chunk_s", 4.0)),
             batched=self.config.batched,
@@ -764,7 +752,6 @@ class PrognosServer:
         state = conn.state
         session = state.session
         inline = not self.config.batched
-        limit = self.config.inbox_limit
         loop = asyncio.get_running_loop()
         while not conn.closed:
             payload = await read_frame(conn.reader)
@@ -792,9 +779,9 @@ class PrognosServer:
                 state.inbox.append(("T", tick))
                 state.pending += 1
                 self._collector.put(state)
-                while state.pending >= limit and not conn.closed:
+                while state.pending >= INBOX_LIMIT and not conn.closed:
                     conn.drain.clear()
-                    if state.pending >= limit:
+                    if state.pending >= INBOX_LIMIT:
                         await conn.drain.wait()
             elif tag == b"R":
                 label, time_s = protocol.decode_report(payload)
@@ -958,14 +945,13 @@ class PrognosServer:
 
     async def _flush_loop(self, conn: _Connection) -> None:
         transport = conn.writer.transport
-        high = self.config.write_high_water
         try:
             while not conn.closed:
                 await conn.out_event.wait()
                 conn.out_event.clear()
                 while conn.outbox and not conn.closed:
                     conn.writer.write(conn.outbox.popleft())
-                    if transport.get_write_buffer_size() > high:
+                    if transport.get_write_buffer_size() > WRITE_HIGH_WATER:
                         # The consumer is behind; wait here, not in the
                         # engine. The outbox keeps absorbing (and, under
                         # the drop policy, evicting) meanwhile.

@@ -41,8 +41,7 @@ from collections import deque
 
 from repro.apps.abr.algorithms import RobustMpc
 from repro.apps.abr.prediction import HarmonicMeanPredictor
-from repro.core.patterns import Pattern
-from repro.core.prognos import Prognos, PrognosConfig
+from repro.core.prognos import Prognos
 from repro.rrc.events import EventConfig
 from repro.rrc.taxonomy import HandoverType
 from repro.serve.forecast import StreamingForecaster
@@ -56,26 +55,18 @@ class ServingSession:
         session_id: str,
         event_configs: list[EventConfig],
         *,
-        prognos_config: PrognosConfig | None = None,
         standalone: bool = False,
-        bootstrap: dict[Pattern, int] | None = None,
         levels_mbps: list[float] | None = None,
         chunk_s: float = 4.0,
         batched: bool = True,
     ) -> None:
         self.session_id = session_id
         self.standalone = standalone
-        self.prognos = Prognos(event_configs, prognos_config)
-        if bootstrap:
-            self.prognos.bootstrap(bootstrap)
+        self.prognos = Prognos(event_configs)
         # A fresh connection is a log boundary by definition.
         self.prognos.start_log()
         self.forecaster = (
-            StreamingForecaster(
-                event_configs,
-                config=prognos_config,
-                rrs=self.prognos.report_predictor.rrs,
-            )
+            StreamingForecaster(event_configs, rrs=self.prognos.report_predictor.rrs)
             if batched
             else None
         )

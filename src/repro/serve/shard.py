@@ -9,11 +9,10 @@ This module scales the daemon across cores: a controller process forks
 unchanged, and routes every UE session to exactly one shard.
 
 **Fork inheritance, not pickling.** Shards are forked from the
-controller after the trained bootstrap patterns, Prognos config, and
-carrier event-config lists are already in memory — the same pattern as
-the :mod:`repro.simulate.fanout` registry: nothing is serialized per
-shard, and a respawned shard re-inherits the same objects because the
-controller still holds them.
+controller, so each inherits the server config and the imported engine
+code already in memory: nothing is serialized per shard, and a
+respawned shard re-inherits the same objects because the controller
+still holds them.
 
 **Routing: consistent-hash fd handoff.** The controller accepts, reads
 exactly the handshake frame (:func:`~repro.serve.protocol.read_frame_sock`
@@ -591,7 +590,7 @@ class ShardedPrognosServer:
         return [fd for fd in fds if fd >= 0]
 
     def _spawn(self, shard: _Shard) -> None:
-        """Fork one engine worker; models are inherited, never pickled."""
+        """Fork one engine worker; its config is inherited, never pickled."""
         control_parent, control_child = socket.socketpair()
         handoff_parent, handoff_child = socket.socketpair(
             socket.AF_UNIX, socket.SOCK_DGRAM

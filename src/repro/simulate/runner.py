@@ -2,28 +2,26 @@
 
 :func:`run_drives` is the one entry point for turning scenarios into
 drive logs. It looks every scenario up in the :class:`DriveCache`
-first, simulates only the misses — fanned out over a
-``ProcessPoolExecutor`` when ``workers`` > 1 — and returns logs in the
-input order.
+first, simulates only the misses — fanned out over a process pool
+when ``workers`` > 1 — and returns logs in the input order.
 
 Determinism is inherent rather than arranged: each
 :meth:`Scenario.run` seeds its own ``np.random.default_rng`` from the
 scenario seed, so a drive's log is a pure function of the scenario and
 identical no matter which worker (or how many workers) produced it.
 
-The pool ships no scenario graphs: misses fan out through
-:mod:`repro.simulate.fanout`, which parks the scenario list for fork
-inheritance and sends each worker only an index (falling back to
-pickling where ``fork`` is unavailable). The pass is supervised
-(:mod:`repro.robust`): crashed or hung workers are retried and the
-pool degrades to serial execution rather than losing the run, and
-every finished drive is published the moment it completes.
+The misses go to :func:`repro.robust.supervisor.supervised_map` as one
+job list for :func:`_run_one`. It ships no scenario graphs where
+``fork`` exists (each worker inherits the list and gets an index), and
+it supervises the pass: crashed or hung workers are retried, the pool
+degrades to serial execution rather than losing the run, and every
+finished drive is published the moment it completes.
 
 That incremental publication is also what makes corpus generation
 *resumable*: the drive cache appends each finished drive to its
 :class:`~repro.simulate.corpus.CorpusStore` through the supervised
 pool's exactly-once ``on_result`` hook, and :func:`run_drives_to_store`
-streams into a store the same way through the same loop, returning a
+streams into a store the same way through the same call, returning a
 lazy :class:`~repro.simulate.corpus.CorpusView` instead of materialised
 logs. Kill a corpus build at drive k of n, rerun, and only the n−k
 missing drives simulate — the rest are already committed shards on
@@ -34,10 +32,10 @@ disk.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro import settings
-from repro.simulate import fanout
+from repro.robust.supervisor import supervised_map
 from repro.simulate.cache import DriveCache
 from repro.simulate.corpus import CorpusStore, CorpusView
 from repro.simulate.records import DriveLog
@@ -52,41 +50,6 @@ def default_workers() -> int:
 def _run_one(scenario: Scenario) -> DriveLog:
     # Module-level so ProcessPoolExecutor can pickle it by reference.
     return scenario.run()
-
-
-def _run_one_indexed(job: tuple[int, int]) -> DriveLog:
-    # Fork-inherited fan-out worker: resolve the scenario by index.
-    token, index = job
-    return fanout.payload(token)[index].run()
-
-
-def _simulate(
-    scenarios: list[Scenario],
-    missing: list[int],
-    workers: int,
-    publish: Callable[[int, DriveLog], None],
-) -> None:
-    """Simulate ``scenarios[i]`` for each ``i`` in ``missing``.
-
-    Each log is handed to ``publish(offset into missing, log)`` the
-    moment it finishes (in the parent, as pool chunks complete), so a
-    crash at drive 999/1000 loses one drive and a rerun resumes from
-    what was published instead of resimulating the lot.
-    """
-    if workers <= 1 or len(missing) == 1:
-        for offset, i in enumerate(missing):
-            publish(offset, _run_one(scenarios[i]))
-    elif missing:
-        miss_scenarios = [scenarios[i] for i in missing]
-        fanout.fanout_map(
-            _run_one_indexed,
-            miss_scenarios,
-            len(miss_scenarios),
-            workers,
-            fallback_fn=_run_one,
-            fallback_jobs=miss_scenarios,
-            on_result=publish,
-        )
 
 
 def run_drives(
@@ -127,7 +90,9 @@ def run_drives(
         if cache is not None:
             cache.put(scenarios[index], log)
 
-    _simulate(scenarios, misses, workers, publish)
+    supervised_map(
+        _run_one, [scenarios[i] for i in misses], workers, on_result=publish
+    )
     return logs  # type: ignore[return-value]
 
 
@@ -176,5 +141,7 @@ def run_drives_to_store(
     def publish(offset: int, log: DriveLog) -> None:
         store.append(keys[missing[offset]], log.columnar())
 
-    _simulate(scenarios, missing, workers, publish)
+    supervised_map(
+        _run_one, [scenarios[i] for i in missing], workers, on_result=publish
+    )
     return CorpusView(store.root, keys)

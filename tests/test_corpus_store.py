@@ -13,7 +13,7 @@ import pytest
 from repro.net.bearer import BearerMode
 from repro.radio.bands import BandClass
 from repro.ran import OPX
-from repro.simulate import fanout
+from repro.robust.supervisor import fork_context
 from repro.simulate.cache import DriveCache
 from repro.simulate.columnar import ARRAY_KEYS
 from repro.simulate.corpus import LOCK_NAME, CorpusStore, CorpusView, DriveRef
@@ -262,7 +262,7 @@ class TestConcurrentWriters:
         assert s2.stats["duplicates"] == 1
 
     def test_processes_append_distinct_and_shared_ids(self, tmp_path):
-        ctx = fanout.fork_context()
+        ctx = fork_context()
         if ctx is None:
             pytest.skip("fork start method unavailable")
         shared = [f"shared-{i}" for i in range(4)]
@@ -335,7 +335,7 @@ class TestConcurrentWriters:
 class TestResume:
     def test_resume_after_kill_regenerates_only_missing(self, tmp_path):
         """Kill generation mid-corpus; the rerun simulates only the rest."""
-        ctx = fanout.fork_context()
+        ctx = fork_context()
         if ctx is None:
             pytest.skip("fork start method unavailable")
         scenarios = _scenarios()

@@ -3,9 +3,9 @@
 Unlike the other ``test_robust_*`` modules this one does NOT clear
 ``REPRO_FAULTS``: the CI fault-injection job exports a crash spec and
 runs this file to prove the real pipelines — drive simulation, VoD
-playback, Prognos evaluation — come back bit-identical anyway. With no
-faults exported it doubles as a plain supervised-path equivalence
-smoke, so it is meaningful in every matrix leg.
+playback, Prognos evaluation, Table 3 — come back bit-identical
+anyway. With no faults exported it doubles as a plain supervised-path
+equivalence smoke, so it is meaningful in every matrix leg.
 
 The fault-free references are the ``workers=1`` serial paths: serial
 execution never enters a worker process, so the worker fault hooks
@@ -20,10 +20,11 @@ import pytest
 
 from repro.apps.abr.algorithms import RateBased
 from repro.apps.abr.player import play_many
-from repro.core.evaluation import configs_for_log, run_prognos_over_logs
+from repro.core.evaluation import configs_for_log, run_prognos_over_logs, table3
 from repro.net.emulation import BandwidthTrace
 from repro.radio.bands import BandClass
 from repro.ran import OPX
+from repro.robust.supervisor import last_run_stats
 from repro.simulate.cache import DriveCache
 from repro.simulate.runner import run_drives
 from repro.simulate.scenarios import freeway_scenario
@@ -66,15 +67,27 @@ def test_play_many_matches_serial_under_faults():
         assert a.mean_bitrate_mbps == b.mean_bitrate_mbps
 
 
-def test_prognos_matches_serial_under_faults(mmwave_walk_log):
-    configs = configs_for_log(OPX, (BandClass.MMWAVE,))
-    serial = run_prognos_over_logs([mmwave_walk_log], configs, stride=8, workers=1)
-    fanned = run_prognos_over_logs([mmwave_walk_log], configs, stride=8, workers=2)
+def test_prognos_matches_serial_under_faults(mmwave_walk_log, freeway_low_log):
+    logs = [mmwave_walk_log, freeway_low_log]
+    configs = configs_for_log(OPX, (BandClass.MMWAVE, BandClass.LOW))
+    serial = run_prognos_over_logs(logs, configs, stride=8, workers=1)
+    fanned = run_prognos_over_logs(logs, configs, stride=8, workers=2)
+    assert last_run_stats().jobs == len(logs)  # the pass went through a pool
     assert serial.times_s.tolist() == fanned.times_s.tolist()
     assert serial.predictions == fanned.predictions
     assert serial.truths == fanned.truths
     assert serial.events == fanned.events
     assert serial.lead_times_s == fanned.lead_times_s
+
+
+def test_table3_matches_serial_under_faults(monkeypatch, freeway_low_log):
+    monkeypatch.setenv("REPRO_NO_CACHE", "1")  # every cell trains, both runs
+    datasets = {"FW": [freeway_low_log]}
+    bands = {"FW": (BandClass.LOW,)}
+    serial = table3(datasets, OPX, bands, workers=1)
+    assert [row.method for row in serial] == ["GBC", "Stacked LSTM", "Prognos"]
+    assert table3(datasets, OPX, bands, workers=2) == serial
+    assert last_run_stats().jobs == 3  # the pass went through a pool
 
 
 def test_crash_mid_corpus_still_populates_cache(

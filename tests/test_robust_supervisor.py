@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import time
 import warnings
 
@@ -17,7 +18,6 @@ from repro.robust.supervisor import (
     last_run_stats,
     supervised_map,
 )
-from repro.simulate import fanout
 from repro.simulate.scenarios import freeway_scenario
 
 NUMERIC_KNOBS = [s for s in settings.SETTINGS.values() if s.type in (int, float)]
@@ -33,20 +33,22 @@ def _isolated_faults(monkeypatch):
     faults.reset()
 
 
-def _square_indexed(job):
-    token, i = job
-    return fanout.payload(token)[i] ** 2
-
-
 def _square(x):
     return x * x
 
 
-def _raise_on_three_indexed(job):
-    token, i = job
-    if i == 3:
+def _square_and_pid(x):
+    return x * x, os.getpid()
+
+
+def _call(job):
+    return job()
+
+
+def _raise_on_13(x):
+    if x == 13:
         raise ValueError("job 3 is genuinely broken")
-    return fanout.payload(token)[i] ** 2
+    return x * x
 
 
 def _values(n=12):
@@ -54,60 +56,59 @@ def _values(n=12):
 
 
 def _map_squares(workers, n=12, **kwargs):
-    values = _values(n)
-    return fanout.fanout_map(
-        _square_indexed,
-        values,
-        len(values),
+    return supervised_map(_square, _values(n), workers, **kwargs)
+
+
+def _assert_runs_in_process(workers, n):
+    """No pool: in-process, in job order, ``last_run_stats`` untouched."""
+    _map_squares(2, n=4)  # leave a pool's stats behind to compare with
+    before = last_run_stats()
+    published = []
+    out = supervised_map(
+        _square_and_pid,
+        _values(n),
         workers,
-        fallback_fn=_square,
-        fallback_jobs=values,
-        **kwargs,
+        on_result=lambda i, r: published.append((i, r)),
     )
+    expected = [(v**2, os.getpid()) for v in _values(n)]
+    assert out == expected
+    assert published == list(enumerate(expected))
+    assert last_run_stats() is before
 
 
 class TestEquivalence:
     def test_matches_unsupervised_fork(self):
-        if fanout.fork_context() is None:
+        if supervisor.fork_context() is None:
             pytest.skip("fork start method unavailable")
         values = _values()
-        expected = fanout.fanout_map_unsupervised(
-            _square_indexed,
-            values,
-            len(values),
-            3,
-            fallback_fn=_square,
-            fallback_jobs=values,
-        )
+        expected = supervisor.fanout_map_unsupervised(_square, values, 3)
         assert _map_squares(3) == expected == [v**2 for v in values]
         stats = last_run_stats()
         assert stats.start_method == "fork"
         assert stats.published == len(values)
         assert stats.pool_rebuilds == stats.timeouts == stats.serial_jobs == 0
 
+    def test_fork_ships_indices_not_jobs(self):
+        if supervisor.fork_context() is None:
+            pytest.skip("fork start method unavailable")
+        # Lambdas cannot be pickled: the pass only works if the forked
+        # workers read the jobs from their inherited registry.
+        jobs = [lambda v=v: v * v for v in _values(6)]
+        assert supervised_map(_call, jobs, 2) == [v**2 for v in _values(6)]
+        assert last_run_stats().serial_jobs == 0
+
     def test_force_spawn_matches_and_keeps_order(self, monkeypatch):
         monkeypatch.setenv("REPRO_FORCE_SPAWN", "1")
         values = _values()
-        expected = fanout.fanout_map_unsupervised(
-            _square_indexed,
-            values,
-            len(values),
-            2,
-            fallback_fn=_square,
-            fallback_jobs=values,
-        )
+        expected = supervisor.fanout_map_unsupervised(_square, values, 2)
         assert _map_squares(2) == expected == [v**2 for v in values]
         assert last_run_stats().start_method == "spawn"
 
     def test_workers_one_runs_serial_in_process(self):
-        assert _map_squares(1) == [v**2 for v in _values()]
-        stats = last_run_stats()
-        assert stats.serial_jobs == stats.jobs == 12
-        assert stats.pool_rebuilds == 0
+        _assert_runs_in_process(1, 12)
 
     def test_single_job_runs_serial(self):
-        assert _map_squares(8, n=1) == [100]
-        assert last_run_stats().serial_jobs == 1
+        _assert_runs_in_process(8, 1)
 
 
 class TestIncrementalPublish:
@@ -118,18 +119,14 @@ class TestIncrementalPublish:
         assert out == [v**2 for v in _values()]
 
     def test_completed_jobs_publish_before_a_bad_job_raises(self):
-        if fanout.fork_context() is None:
+        if supervisor.fork_context() is None:
             pytest.skip("fork start method unavailable")
         published = []
-        values = _values(8)
         with pytest.raises(ValueError, match="genuinely broken"):
             supervised_map(
-                _raise_on_three_indexed,
-                values,
-                len(values),
+                _raise_on_13,
+                _values(8),
                 2,
-                fallback_fn=_square,
-                fallback_jobs=values,
                 on_result=lambda i, r: published.append(i),
                 retries=0,
             )
@@ -140,7 +137,7 @@ class TestIncrementalPublish:
 
 class TestRecovery:
     def test_crash_everywhere_degrades_to_serial(self, monkeypatch):
-        if fanout.fork_context() is None:
+        if supervisor.fork_context() is None:
             pytest.skip("fork start method unavailable")
         monkeypatch.setenv("REPRO_FAULTS", "worker_crash:p=1:seed=5")
         published = []
@@ -152,7 +149,7 @@ class TestRecovery:
         assert sorted(published) == list(range(8))
 
     def test_targeted_crash_recovers_via_retry(self, monkeypatch):
-        if fanout.fork_context() is None:
+        if supervisor.fork_context() is None:
             pytest.skip("fork start method unavailable")
         # Fires only on job 3's first attempt: one pool death, then the
         # retry goes through a rebuilt pool.
@@ -164,21 +161,13 @@ class TestRecovery:
         assert stats.retried_jobs >= 1
 
     def test_hang_hits_timeout_and_is_retried(self, monkeypatch):
-        if fanout.fork_context() is None:
+        if supervisor.fork_context() is None:
             pytest.skip("fork start method unavailable")
         monkeypatch.setenv("REPRO_FAULTS", "worker_hang:key=2:attempts=1:hang_s=30")
+        monkeypatch.setenv("REPRO_JOB_TIMEOUT_S", "1")
         values = _values(6)
         start = time.monotonic()
-        out = supervised_map(
-            _square_indexed,
-            values,
-            len(values),
-            2,
-            fallback_fn=_square,
-            fallback_jobs=values,
-            timeout_s=1.0,
-            retries=2,
-        )
+        out = supervised_map(_square, values, 2, retries=2)
         elapsed = time.monotonic() - start
         assert out == [v**2 for v in values]
         stats = last_run_stats()

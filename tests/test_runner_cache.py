@@ -10,7 +10,7 @@ import pytest
 from repro.radio.bands import BandClass
 from repro.radio.rrs import RadioEnvironment
 from repro.ran import OPX
-from repro.simulate import fanout
+from repro.robust.supervisor import fork_context
 from repro.simulate.cache import DriveCache, atomic_publish, scenario_fingerprint
 from repro.simulate.corpus import LOCK_NAME
 from repro.simulate.runner import run_drives
@@ -103,7 +103,7 @@ def _hammer_put(root, repeats):
 
 def test_concurrent_writers_same_key(tmp_path, serial_logs):
     """Two processes hammer ``put`` on one key; one payload is committed."""
-    ctx = fanout.fork_context()
+    ctx = fork_context()
     if ctx is None:
         pytest.skip("fork start method unavailable")
     children = [

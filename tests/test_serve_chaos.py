@@ -130,9 +130,18 @@ def test_chaos_sharded_kill_and_rolling_drain(chaos_logs, chaos_spec):
     async def main():
         async with ShardedPrognosServer(config) as server:
             loop = asyncio.get_running_loop()
+            # A stalled load must fail inside the 300-s test alarm:
+            # asyncio.run's shutdown waits for this executor thread.
             future = loop.run_in_executor(
                 None,
-                partial(run_load, server.port, scripts, collect=True, chaos=True),
+                partial(
+                    run_load,
+                    server.port,
+                    scripts,
+                    collect=True,
+                    chaos=True,
+                    timeout_s=60.0,
+                ),
             )
             await asyncio.sleep(0.6)
             victim = server._shards[0].pid

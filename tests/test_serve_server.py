@@ -403,30 +403,3 @@ def test_backlog_passes_take_ticks_enqueued_meanwhile(serve_logs):
 
     asyncio.run(main())
 
-
-# ----------------------------------------------------------------------
-# Bootstrap model cache
-# ----------------------------------------------------------------------
-
-
-def test_cached_bootstrap_patterns_warm_hit(serve_logs, tmp_path, monkeypatch):
-    import repro.serve.models as models
-    from repro.ml.model_cache import ModelCache
-
-    cache = ModelCache(tmp_path, enabled=True)
-    mined = models.cached_bootstrap_patterns(serve_logs, cache=cache)
-    assert mined  # the drives produce at least one pattern
-
-    def _must_not_mine(*args, **kwargs):
-        raise AssertionError("cache should have served the patterns")
-
-    monkeypatch.setattr(models, "frequent_patterns_from_logs", _must_not_mine)
-    again = models.cached_bootstrap_patterns(serve_logs, cache=cache)
-    assert again == mined
-    # A different per_type misses and re-mines (and here, trips).
-    monkeypatch.setattr(
-        models, "frequent_patterns_from_logs", lambda *a, **k: {"fresh": 1}
-    )
-    assert models.cached_bootstrap_patterns(serve_logs, per_type=2, cache=cache) == {
-        "fresh": 1
-    }
