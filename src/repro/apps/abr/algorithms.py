@@ -112,6 +112,11 @@ class _MpcBase:
     def _discounted(self, predicted_mbps: float) -> float:
         return predicted_mbps
 
+    def plan_throughput(self, predicted_mbps: float) -> float:
+        """The rate every plan is scored at: the discounted prediction,
+        floored at 0.1 Mbps."""
+        return max(self._discounted(predicted_mbps), 0.1)
+
     def select(
         self,
         levels_mbps: list[float],
@@ -120,7 +125,7 @@ class _MpcBase:
         predicted_mbps: float,
         chunk_s: float,
     ) -> int:
-        throughput = max(self._discounted(predicted_mbps), 0.1)
+        throughput = self.plan_throughput(predicted_mbps)
         plans = _plan_matrix(len(levels_mbps), self.HORIZON)
         levels = np.asarray(levels_mbps, dtype=float)
         # Operation order mirrors the scalar reference exactly, so the
@@ -207,20 +212,22 @@ class RobustMpc(_MpcBase):
 def mpc_select_many(
     entries: list[tuple["_MpcBase", list[float], float, int, float, float]],
 ) -> list[int]:
-    """Batched :meth:`_MpcBase.select` over many independent sessions.
+    """Batched :meth:`_MpcBase.select` over many independent rows.
 
     ``entries`` rows are ``(algo, levels_mbps, buffer_s, last_level,
-    predicted_mbps, chunk_s)``. Sessions sharing a ladder shape and
-    chunk duration are scored against one shared plan/quality matrix;
-    the per-plan value accumulation broadcasts over sessions with the
-    exact per-element operation order of :meth:`_MpcBase.select`, so
-    every returned level is bitwise identical to the scalar call. The
-    prediction discount stays a per-session scalar (it reads the algo's
-    recent-error state).
+    throughput_mbps, chunk_s)``, where ``throughput_mbps`` is
+    ``algo.plan_throughput(predicted_mbps)`` taken when the row was
+    made: the discount reads the algo's recent-error state, which a
+    later row of the same session may already have advanced. Rows
+    sharing a ladder shape and chunk duration are scored against one
+    shared plan/quality matrix; the per-plan value accumulation
+    broadcasts over rows with the exact per-element operation order of
+    :meth:`_MpcBase.select`, so every returned level is bitwise
+    identical to the scalar call made when the row was.
     """
     results = [0] * len(entries)
-    groups: dict[tuple, list[tuple[int, "_MpcBase", float, int, float]]] = {}
-    for idx, (algo, levels_mbps, buffer_s, last_level, predicted, chunk_s) in enumerate(
+    groups: dict[tuple, list[tuple[int, float, int, float]]] = {}
+    for idx, (algo, levels_mbps, buffer_s, last_level, rate, chunk_s) in enumerate(
         entries
     ):
         if not isinstance(algo, _MpcBase):
@@ -232,26 +239,24 @@ def mpc_select_many(
             algo.REBUF_PENALTY,
             algo.SMOOTH_PENALTY,
         )
-        groups.setdefault(key, []).append((idx, algo, buffer_s, last_level, predicted))
+        groups.setdefault(key, []).append((idx, buffer_s, last_level, rate))
     for (ladder, chunk_s, horizon, rebuf, smooth), members in groups.items():
         # ``levels[plans] * chunk_s / throughput`` associates left, so
         # the numerator is shared across the group and only the final
         # divide is per-session — bitwise identical to the scalar path.
         plans, base, quality = _group_matrices(ladder, chunk_s, horizon)
-        throughput = np.array(
-            [max(algo._discounted(predicted), 0.1) for _, algo, _, _, predicted in members]
-        )
+        throughput = np.array([rate for _, _, _, rate in members])
         download_s = base[None, :, :] / throughput[:, None, None]
         n_plans = plans.shape[0]
         value = np.zeros((len(members), n_plans))
         buf = np.empty((len(members), n_plans))
-        buf[...] = np.array([float(b) for _, _, b, _, _ in members])[:, None]
+        buf[...] = np.array([float(b) for _, b, _, _ in members])[:, None]
         # Step 0 smoothness depends on each session's last level; later
         # steps compare consecutive plan columns, shared group-wide.
         # Scratch-buffer ufuncs below keep the elementwise op sequence
         # of the expression form (multiply commutes bitwise in IEEE
         # 754), trading temporaries for two reused buffers.
-        prev: np.ndarray = np.array([last for _, _, _, last, _ in members])[:, None]
+        prev: np.ndarray = np.array([last for _, _, last, _ in members])[:, None]
         stall = np.empty_like(buf)
         for step in range(horizon):
             d = download_s[:, :, step]
@@ -268,7 +273,7 @@ def mpc_select_many(
             np.add(value, stall, out=value)
             prev = plans[:, step]
         winners = np.argmax(value, axis=1)
-        for row, (idx, _, _, _, _) in enumerate(members):
+        for row, (idx, _, _, _) in enumerate(members):
             results[idx] = int(plans[int(winners[row]), 0])
     return results
 

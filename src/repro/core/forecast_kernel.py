@@ -1,10 +1,10 @@
 """The batched report forecast: smoothing, OLS fit and trigger scan.
 
 This is the one fast implementation of §7.2's report predictor. The
-offline replay calls it once per block of a log's steps
-(:func:`forecast_reports` over every (step, needed cell) window of the
-block), and the server once per micro-batch cohort
-(:func:`forecast_histories`). The scalar oracle it must match bit for bit
+offline replay calls it once per block of a log's steps, and the server
+once per engine pass and config cohort, both as :func:`forecast_reports`
+over windows :func:`add_windows` copied right after each step observed
+its tick. The scalar oracle it must match bit for bit
 is :meth:`ReportPredictor.predict_reports` on :meth:`RRSPredictor.predict`
 and :meth:`TriangularKernelSmoother.smooth_series`.
 
@@ -355,7 +355,7 @@ def forecast_reports(
 ) -> list[list[tuple]]:
     """:func:`forecast_windows` then :func:`trigger_reports` over windows
     collected by :func:`add_windows`, one entry of ``actives``/``row_ofs``
-    per step or session."""
+    per step."""
     forecasts = forecast_windows(
         np.frombuffer(times),
         np.frombuffer(values),
@@ -367,29 +367,3 @@ def forecast_reports(
         configs, actives, row_ofs, forecasts, horizon_s / FORECAST_STEPS
     )
 
-
-def forecast_histories(
-    configs: list,
-    plans: list[tuple],
-    histories: list[dict],
-    smoother_window: int,
-    horizon_s: float,
-) -> list[list[tuple]]:
-    """:func:`forecast_reports` for sessions holding live cell histories:
-    ``plans[j]`` is session j's :func:`gate` output and ``histories[j]``
-    its cell -> ``CellHistory`` map."""
-    times, values, lengths = array("d"), array("d"), []
-    row_ofs = [
-        add_windows(cells, cell_histories, times, values, lengths)
-        for (_active, cells), cell_histories in zip(plans, histories)
-    ]
-    return forecast_reports(
-        configs,
-        [active for active, _cells in plans],
-        row_ofs,
-        times,
-        values,
-        lengths,
-        smoother_window,
-        horizon_s,
-    )

@@ -16,6 +16,7 @@ batched in :mod:`repro.core.forecast_kernel`, bit for bit;
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +24,9 @@ import numpy as np
 from repro.core.forecast_kernel import (
     FORECAST_STEPS,
     SLOPE_SHRINKAGE,
+    add_windows,
     config_meta,
-    forecast_histories,
+    forecast_reports,
     gate,
 )
 from repro.core.rrs_predictor import RRSPredictor
@@ -146,11 +148,16 @@ class ReportPredictor:
             SLOPE_SHRINKAGE,
         ):
             return self.predict_reports(serving, neighbours, scoped_neighbours)
-        plan = gate(self._config_meta, serving, neighbours, scoped_neighbours)
-        (reports,) = forecast_histories(
+        active, cells = gate(self._config_meta, serving, neighbours, scoped_neighbours)
+        times, values, lengths = array("d"), array("d"), []
+        row_of = add_windows(cells, self.rrs._cells, times, values, lengths)
+        (reports,) = forecast_reports(
             self._configs,
-            [plan],
-            [self.rrs._cells],
+            [active],
+            [row_of],
+            times,
+            values,
+            lengths,
             self.rrs._smoother.window,
             self._window_s,
         )

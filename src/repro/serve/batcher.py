@@ -6,9 +6,11 @@ future allocation plus a scheduler hop, and at one tick per frame the
 collector overhead exceeded the sequential baseline in measurement. The
 collector here is a plain list the readers append to, with a single
 :class:`asyncio.Event` wake: the engine wakes once per burst and swaps
-the whole list out at once, up to :data:`MAX_BATCH` sessions. Batching
-is adaptive only: ticks accumulate naturally while the engine is busy
-with the previous batch, and waiting beyond that for stragglers trades
+the whole list out at once, up to :data:`MAX_BATCH` sessions. A reader
+puts its session once, when its first unanswered tick arrives, and the
+engine pass that takes the session takes every tick it has queued.
+Batching is adaptive only: ticks accumulate naturally while the engine
+is busy with the previous pass, and waiting beyond that for stragglers trades
 engine utilisation for batch size, a strict loss when the engine
 shares cores with the readers. Backpressure is per-session and lives in
 the server (bounded inboxes/outboxes); the collector itself never

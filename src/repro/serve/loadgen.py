@@ -343,7 +343,10 @@ def run_load(
             break
         now = time.monotonic()
         if now > deadline:
-            raise TimeoutError(f"load run stalled with {active} clients active")
+            raise TimeoutError(
+                f"load run stalled with {active} clients active: "
+                + _stall_report(clients)
+            )
         timeout = 0.5
         for client in clients:
             if client.state != "done" and client.wait_until is not None:
@@ -371,6 +374,17 @@ def run_load(
                 _fire_timer(sel, client)
     wall_s = (time.perf_counter_ns() - t0) / 1e9
     return LoadgenResult.aggregate(clients, wall_s)
+
+
+def _stall_report(clients: list[_Client]) -> str:
+    """Where each unfinished client stopped, for a stalled run's error."""
+    return "; ".join(
+        f"{c.script.session_id} state={c.state} step={c.step} "
+        f"last_seq={c.last_seq} wait_action={c.wait_action} "
+        f"reconnects={c.reconnects} resumes={c.resumes}"
+        for c in clients
+        if c.state != "done"
+    )
 
 
 def _run_load_forked(

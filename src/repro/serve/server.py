@@ -3,13 +3,15 @@
 One process serves many concurrent UE sessions. Readers do protocol
 work only (decode, order-preserving per-session inboxes); all model
 work happens on one engine task that drains the
-:class:`~repro.serve.batcher.BatchCollector`, runs the cross-session
-:func:`~repro.serve.forecast.forecast_batch` and one
-:func:`~repro.apps.abr.algorithms.mpc_select_many` call per batch, and
-hands encoded predictions to per-session outboxes. A server built with
-``batched=False`` short-circuits everything in the reader with the
-scalar per-session pipeline — that is the bench's baseline mode, not a
-degraded afterthought.
+:class:`~repro.serve.batcher.BatchCollector` of ready sessions. One
+engine pass takes every tick each ready session has queued, runs one
+cross-session :func:`~repro.serve.forecast.forecast_batch` and one
+:func:`~repro.apps.abr.algorithms.mpc_select_many` call over all of
+them, and hands encoded predictions to per-session outboxes in tick
+order (see :meth:`PrognosServer._take_ticks` for the frame order
+inside a pass). A server built with ``batched=False`` short-circuits
+everything in the reader with the scalar per-session pipeline — that
+is the bench's baseline mode, not a degraded afterthought.
 
 Backpressure, per session and never global:
 
@@ -49,12 +51,13 @@ Resilience (see DESIGN.md §6d for the full ladder):
   every client a bye carrying its resume token, then closes; parked
   state survives for the successor to adopt.
 
-Failure ladder for the engine: an engine crash loses at most the
-in-flight batch — the supervisor resyncs every session's accounting
-(lost ticks are counted, never silently swallowed), restarts the
-engine, and after ``engine_restarts`` strikes degrades the server to
-inline sequential serving (each session taking a forced log boundary)
-rather than going dark.
+Failure ladder for the engine: an engine crash loses at most the ticks
+its pass had taken, up to each session's whole backlog — the
+supervisor resyncs every session's accounting (lost ticks are counted,
+never silently swallowed), restarts the engine, and after
+``engine_restarts`` strikes degrades the server to inline sequential
+serving (each session taking a forced log boundary) rather than going
+dark.
 """
 
 from __future__ import annotations
@@ -735,7 +738,7 @@ class PrognosServer:
         self._sessions[state.session_id] = state
         if self.config.batched and not self._degraded:
             state.pending = sum(1 for item in state.inbox if item[0] == "T")
-            for _ in range(state.pending):
+            if state.pending:
                 self._collector.put(state)
         else:
             self._drain_inbox_inline(state)
@@ -778,7 +781,10 @@ class PrognosServer:
                     continue
                 state.inbox.append(("T", tick))
                 state.pending += 1
-                self._collector.put(state)
+                if state.pending == 1:
+                    # Queued once: the pass that takes it takes every
+                    # tick queued by then (see _take_ticks).
+                    self._collector.put(state)
                 while state.pending >= INBOX_LIMIT and not conn.closed:
                     conn.drain.clear()
                     if state.pending >= INBOX_LIMIT:
@@ -852,8 +858,7 @@ class PrognosServer:
         if wants_abr:
             entry = session.abr_entry(observed_mbps, buffer_s, last_level)
             if entry is not None:
-                algo, levels, buf, last, predicted, chunk_s = entry
-                level = algo.select(levels, buf, last, predicted, chunk_s)
+                (level,) = mpc_select_many([entry])
         payload = frame(
             protocol.encode_prediction(
                 time_s,
@@ -871,20 +876,14 @@ class PrognosServer:
 
     def _drain_inbox_inline(self, state: SessionState) -> None:
         """Serve a session's queued inbox with the scalar pipeline."""
-        session = state.session
         while state.inbox:
             item = state.inbox.popleft()
-            kind = item[0]
-            if kind == "R":
-                session.observe_report(item[1], item[2])
-            elif kind == "C":
-                session.observe_command(item[1], item[2])
-            elif kind == "S":
-                session.start_log()
+            if item[0] != "T":
+                _apply_frame(state.session, item)
+            elif state.conn is not None:
+                state.conn.deliver(self._serve_tick_inline(state, item[1]))
             else:
-                payload = self._serve_tick_inline(state, item[1])
-                if state.conn is not None:
-                    state.conn.deliver(payload)
+                self._serve_tick_inline(state, item[1])
         state.pending = 0
         if state.conn is not None:
             state.conn.drain.set()
@@ -981,9 +980,10 @@ class PrognosServer:
     def _resync_after_crash(self) -> None:
         """Recount every session's in-flight ticks after an engine loss.
 
-        Ticks the dead engine consumed but never answered are gone —
-        counted in ``lost``, surfaced in the bye frame. Ticks still in
-        the inbox are re-advertised to the new engine.
+        Ticks the dead engine consumed but never answered (every tick
+        its pass had taken) are gone — counted in ``lost``, surfaced in
+        the bye frame. A session with ticks still in its inbox is queued
+        for the new engine.
         """
         for state in self._sessions.values():
             remaining = sum(1 for item in state.inbox if item[0] == "T")
@@ -991,7 +991,7 @@ class PrognosServer:
             if missing > 0:
                 state.lost += missing
             state.pending = remaining
-            for _ in range(remaining):
+            if remaining:
                 self._collector.put(state)
             if state.conn is not None:
                 state.conn.drain.set()
@@ -1030,6 +1030,42 @@ class PrognosServer:
         if conn is not None:
             conn.drain.set()
 
+    def _take_ticks(self, state: SessionState, jobs: list, taken: list) -> None:
+        """Begin every queued tick of ``state`` for this pass, in order.
+
+        Appends one :func:`forecast_batch` job per tick to ``jobs`` and
+        ``(state, tick, after)`` to ``taken``. Frames ahead of the first
+        tick apply at once. An ``R``/``C`` behind a taken tick goes in
+        its ``after`` list, applied once that tick's learner tail has
+        run. An ``S`` behind a taken tick ends the session's share of
+        the pass: it resets the phase reports the taken ticks' tails
+        still read, so it stays at the head of the inbox and the session
+        is queued for the next pass. A pass never awaits between taking
+        a tick and delivering it, so ``pending`` counts exactly the
+        ticks in the inbox here, and frames behind the last of them stay
+        queued.
+        """
+        session = state.session
+        inbox = state.inbox
+        left = state.pending
+        after = None
+        while left:
+            kind = inbox[0][0]
+            if kind == "T":
+                tick = inbox.popleft()[1]
+                plan = session.begin_tick(tick[0], tick[1], tick[2], tick[3], tick[4])
+                jobs.append((session.forecaster, plan))
+                after = []
+                taken.append((state, tick, after))
+                left -= 1
+            elif after is None:
+                _apply_frame(session, inbox.popleft())
+            elif kind == "S":
+                self._collector.put(state)
+                return
+            else:
+                after.append(inbox.popleft())
+
     async def _engine_loop(self) -> None:
         collector = self._collector
         while self._running:
@@ -1038,73 +1074,48 @@ class PrognosServer:
                 fault, self._inject_engine_fault = self._inject_engine_fault, None
                 raise fault
             jobs: list = []
-            meta: list = []
-            taken: set[int] = set()
-            requeue: list = []
+            taken: list = []
+            seen: set[int] = set()
             for state in batch:
                 # A detached (parked) session still gets served — its
                 # predictions land in the journal for the resume replay.
-                if state.gone or state.finished:
+                # A session queued twice (crash resync) is taken once.
+                if state.gone or state.finished or id(state) in seen:
                     continue
-                if id(state) in taken:
-                    # A pipelining client may have several ticks queued.
-                    # One per batch: tick i+1's ring observation must not
-                    # land before tick i's forecast is fitted, or the
-                    # prediction stream diverges from the offline replay.
-                    requeue.append(state)
-                    continue
-                taken.add(id(state))
-                session = state.session
-                tick = None
-                inbox = state.inbox
-                while inbox:
-                    item = inbox.popleft()
-                    kind = item[0]
-                    if kind == "R":
-                        session.observe_report(item[1], item[2])
-                    elif kind == "C":
-                        session.observe_command(item[1], item[2])
-                    elif kind == "S":
-                        session.start_log()
-                    else:
-                        tick = item[1]
-                        break
-                if tick is None:
-                    continue
-                plan = session.begin_tick(tick[0], tick[1], tick[2], tick[3], tick[4])
-                jobs.append((session.forecaster, plan))
-                meta.append((state, tick))
-            for state in requeue:
-                collector.put(state)
+                seen.add(id(state))
+                self._take_ticks(state, jobs, taken)
             if not jobs:
                 continue
             self.batches += 1
             self.batch_ticks += len(jobs)
             forecasts = forecast_batch(jobs)
-            outputs: list = []
+            predictions: list = []
             abr_rows: list = []
             abr_idx: list[int] = []
-            for k, (state, tick) in enumerate(meta):
-                time_s, _rsrp, serving = tick[0], tick[1], tick[2]
-                wants_abr, observed_mbps, buffer_s, last_level = tick[5:9]
-                prediction = state.session.finish_tick(time_s, serving, forecasts[k])
-                if wants_abr:
-                    entry = state.session.abr_entry(
-                        observed_mbps, buffer_s, last_level
-                    )
+            for k, (state, tick, after) in enumerate(taken):
+                session = state.session
+                predictions.append(session.finish_tick(tick[0], tick[2], forecasts[k]))
+                if tick[5]:
+                    entry = session.abr_entry(tick[6], tick[7], tick[8])
                     if entry is not None:
                         abr_rows.append(entry)
                         abr_idx.append(k)
-                outputs.append((state, time_s, prediction))
-            levels: dict[int, int] = {}
+                for item in after:
+                    _apply_frame(session, item)
+            levels = [-1] * len(taken)
             if abr_rows:
                 for k, level in zip(abr_idx, mpc_select_many(abr_rows)):
                     levels[k] = level
-            for k, (state, time_s, prediction) in enumerate(outputs):
-                self._deliver_prediction(state, time_s, prediction, levels.get(k, -1))
-            if requeue:
-                # collect() does not suspend while requeued ticks wait,
-                # so yield once: other sessions' readers enqueue now and
-                # their ticks join the next pass instead of waiting out
-                # this session's backlog.
-                await asyncio.sleep(0)
+            for (state, tick, _after), prediction, level in zip(taken, predictions, levels):
+                self._deliver_prediction(state, tick[0], prediction, level)
+
+
+def _apply_frame(session: ServingSession, item: tuple) -> None:
+    """Apply a queued ``R`` (report), ``C`` (command) or ``S`` (log start)."""
+    kind = item[0]
+    if kind == "R":
+        session.observe_report(item[1], item[2])
+    elif kind == "C":
+        session.observe_command(item[1], item[2])
+    else:
+        session.start_log()

@@ -9,11 +9,12 @@ through the same state transitions:
   :meth:`~repro.core.prognos.Prognos.step` per frame (the per-session
   baseline the bench compares against);
 * **micro-batched** — :meth:`begin_tick` feeds the session's
-  :class:`~repro.serve.forecast.StreamingForecaster` and gates the
-  tick's configs, the engine runs the cross-session
-  :func:`~repro.serve.forecast.forecast_batch`, and
-  :meth:`finish_tick` runs the learner-coupled tail
-  (:meth:`~repro.core.prognos.Prognos.step_with_forecast`).
+  :class:`~repro.serve.forecast.StreamingForecaster`, gates the tick's
+  configs and copies the windows it must forecast, so the engine can
+  begin every queued tick of a session before one cross-session
+  :func:`~repro.serve.forecast.forecast_batch` call forecasts them
+  all; :meth:`finish_tick` then runs each tick's learner-coupled tail
+  (:meth:`~repro.core.prognos.Prognos.step_with_forecast`) in order.
 
 The forecaster wraps the Prognos report predictor's own
 :class:`~repro.core.rrs_predictor.RRSPredictor`, so a session holds one
@@ -28,10 +29,11 @@ The ABR leg mirrors §7.4's player loop: observe the finished chunk's
 throughput (feeding the robustMPC error discount and the harmonic-mean
 predictor), then select the next chunk's level. :meth:`abr_entry`
 performs the state advance and returns an
-:func:`~repro.apps.abr.algorithms.mpc_select_many` row, so the batched
-engine can score every ready session against one shared plan matrix;
-sequential mode calls :meth:`~repro.apps.abr.algorithms._MpcBase.select`
-on the same row.
+:func:`~repro.apps.abr.algorithms.mpc_select_many` row carrying the
+discounted throughput of that moment, so the batched engine can score
+every taken tick against one shared plan matrix after later ticks of
+the same session have advanced the state again; sequential mode scores
+the row at once.
 """
 
 from __future__ import annotations
@@ -108,11 +110,14 @@ class ServingSession:
         )
 
     def begin_tick(self, time_s, rsrp, serving, neighbours, scoped):
-        """Batched front half: RRS observe + config gating.
+        """Batched front half: RRS observe, config gating, window copy.
 
-        Returns the tick's gating plan, which the engine feeds to
-        :func:`~repro.serve.forecast.forecast_batch` alongside every
-        other ready session's.
+        Returns the tick's plan (:meth:`StreamingForecaster.prepare
+        <repro.serve.forecast.StreamingForecaster.prepare>`), which the
+        engine feeds to :func:`~repro.serve.forecast.forecast_batch`
+        alongside every other tick it took. The plan holds copies of
+        the tick's windows, so the session's later ticks may be begun
+        before this one is forecast.
         """
         self.forecaster.observe(time_s, rsrp)
         return self.forecaster.prepare(serving, neighbours, scoped)
@@ -133,13 +138,17 @@ class ServingSession:
     ) -> tuple | None:
         """Advance the throughput/error state; return a select row.
 
-        The row is ``(algo, levels, buffer_s, last_level, predicted,
-        chunk_s)`` — sequential mode calls ``algo.select(*row[1:])`` on
-        it, the batched engine collects rows across sessions into one
-        :func:`~repro.apps.abr.algorithms.mpc_select_many` call. The
-        state advance (error feedback before the rate observation,
-        prediction recorded for the next chunk's error) is the player
-        loop order, identical either way.
+        The row is ``(algo, levels, buffer_s, last_level, throughput,
+        chunk_s)``, with ``throughput`` the robustMPC-discounted
+        prediction as the error window stands right after this advance
+        — what ``algo.select`` would score the prediction at now. Both
+        modes score rows with
+        :func:`~repro.apps.abr.algorithms.mpc_select_many`: sequential
+        mode at once, the batched engine once per pass over every
+        taken tick, after later ticks of the same session have fed the
+        error window again. The state advance (error feedback before
+        the rate observation, prediction recorded for the next chunk's
+        error) is the player loop order, identical either way.
         """
         if self.abr is None:
             return None
@@ -154,7 +163,7 @@ class ServingSession:
             self.levels_mbps,
             buffer_s,
             int(last_level),
-            predicted,
+            self.abr.plan_throughput(predicted),
             self.chunk_s,
         )
 

@@ -1,4 +1,8 @@
-"""Cross-session MPC batching: mpc_select_many vs scalar select."""
+"""Cross-session MPC batching: mpc_select_many vs scalar select.
+
+A row carries the throughput its plans are scored at
+(``algo.plan_throughput(predicted)``), so each comparison builds it from
+the same algo state the scalar ``select`` reads."""
 
 from __future__ import annotations
 
@@ -40,7 +44,8 @@ def test_matches_scalar_select_across_state_and_ladders():
         last_level = int(rng.integers(0, len(levels)))
         predicted = float(rng.uniform(0.2, 60.0))
         chunk_s = (4.0, 2.0)[i % 5 == 0]
-        entries.append((algo, levels, buffer_s, last_level, predicted, chunk_s))
+        rate = algo.plan_throughput(predicted)
+        entries.append((algo, levels, buffer_s, last_level, rate, chunk_s))
         scalars.append(twin.select(levels, buffer_s, last_level, predicted, chunk_s))
     assert mpc_select_many(entries) == scalars
 
@@ -48,7 +53,7 @@ def test_matches_scalar_select_across_state_and_ladders():
 def test_empty_and_single_entry():
     assert mpc_select_many([]) == []
     algo = RobustMpc()
-    entry = (algo, LADDER_A, 8.0, 2, 20.0, 4.0)
+    entry = (algo, LADDER_A, 8.0, 2, algo.plan_throughput(20.0), 4.0)
     assert mpc_select_many([entry]) == [
         RobustMpc().select(LADDER_A, 8.0, 2, 20.0, 4.0)
     ]
@@ -65,7 +70,8 @@ def test_mixed_groups_keep_result_order():
         if i % 4 == 0:
             algo.observe_error(10.0, 5.0)
             twin.observe_error(10.0, 5.0)
-        entries.append((algo, levels, float(i), i % len(levels), 5.0 + i, chunk_s))
+        rate = algo.plan_throughput(5.0 + i)
+        entries.append((algo, levels, float(i), i % len(levels), rate, chunk_s))
         scalars.append(twin.select(levels, float(i), i % len(levels), 5.0 + i, chunk_s))
     assert mpc_select_many(entries) == scalars
 
@@ -83,3 +89,17 @@ def test_select_many_advances_no_state():
     before = list(algo._recent_errors)
     mpc_select_many([(algo, LADDER_A, 4.0, 1, 12.0, 4.0)] * 3)
     assert list(algo._recent_errors) == before
+
+
+def test_row_keeps_the_discount_it_was_made_with():
+    """A row scores at the throughput of the moment it was made: error
+    feedback the same algo takes afterwards (a later tick of the session,
+    in the same engine pass) must not reach it."""
+    algo, twin = RobustMpc(), RobustMpc()
+    for a in (algo, twin):
+        a.observe_error(10.0, 9.0)
+    expected = twin.select(LADDER_A, 12.0, 3, 30.0, 4.0)
+    row = (algo, LADDER_A, 12.0, 3, algo.plan_throughput(30.0), 4.0)
+    algo.observe_error(30.0, 3.0)  # a 900% miss: discount 1/10
+    assert algo.select(LADDER_A, 12.0, 3, 30.0, 4.0) != expected
+    assert mpc_select_many([row]) == [expected]

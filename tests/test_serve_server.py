@@ -4,22 +4,29 @@ policies, fault injection, and the supervision ladder."""
 from __future__ import annotations
 
 import asyncio
+import socket
 
+import numpy as np
 import pytest
 
+from repro.apps.abr.algorithms import RobustMpc
+from repro.apps.abr.prediction import HarmonicMeanPredictor
 from repro.core.evaluation import _replay_plan, configs_for_log, run_prognos_over_logs
 from repro.radio.bands import BandClass
 from repro.ran import OPX
 from repro.rrc.events import MeasurementObject
 from repro.serve import protocol
+from repro.serve import server as server_module
 from repro.serve.loadgen import (
+    DEFAULT_CHUNK_S,
+    DEFAULT_LEVELS_MBPS,
     build_script,
     run_load,
     spawn_server,
     stop_server,
 )
-from repro.serve.protocol import frame, read_frame
-from repro.serve.server import PrognosServer, ServerConfig, _Connection
+from repro.serve.protocol import FrameDecoder, frame, read_frame
+from repro.serve.server import PrognosServer, ServerConfig, _apply_frame, _Connection
 from repro.serve.session import ServingSession, SessionState
 from repro.simulate.runner import run_drives
 from repro.simulate.scenarios import freeway_scenario
@@ -93,6 +100,26 @@ def test_midstream_disconnect_leaves_others_unharmed(serve_logs):
     assert result.completed == 2
     for sid in ("ue-0", "ue-2"):
         assert result.byes[sid]["answered"] == scripts[0].n_ticks
+
+
+def test_stalled_load_names_where_each_client_stopped(serve_logs):
+    """A load that stops moving fails with each unfinished client's
+    position, not just a count: a peer that accepts but never answers
+    leaves both clients waiting for their welcome."""
+    scripts = [
+        build_script(serve_logs[0], f"ue-stall-{i}", EVENT_CONFIGS, max_ticks=3)
+        for i in range(2)
+    ]
+    with socket.create_server(("127.0.0.1", 0)) as mute:
+        with pytest.raises(TimeoutError) as excinfo:
+            run_load(mute.getsockname()[1], scripts, timeout_s=0.3)
+    message = str(excinfo.value)
+    assert "stalled with 2 clients active" in message
+    for i in range(2):
+        assert (
+            f"ue-stall-{i} state=hello step=0 last_seq=0 wait_action=None "
+            "reconnects=0 resumes=0"
+        ) in message
 
 
 # ----------------------------------------------------------------------
@@ -345,61 +372,191 @@ def test_engine_degrades_after_crash_budget():
     asyncio.run(main())
 
 
-def test_backlog_passes_take_ticks_enqueued_meanwhile(serve_logs):
-    """Ticks another task enqueues while the engine works through one
-    session's backlog join the next pass. Session A's whole backlog is
-    queued at once; its first prediction schedules session B's ticks with
-    ``call_soon``. Each pass takes one tick per session, so from then on
-    every pass must carry one tick of each, and both streams must still
-    be the offline replay's."""
-    log = serve_logs[0]
+def _inbox_items(log, n, rng=None):
+    """A drive's first ``n`` ticks and their due events as inbox items,
+    what the reader queues per frame. With ``rng`` every tick wants ABR,
+    with throughput, buffer and last-level feedback drawn per tick."""
     plan = _replay_plan(log, 1.0, 1)
+    items, events, e_idx = [], plan.events, 0
+    for pos in range(n):
+        while e_idx < len(events) and events[e_idx][0] <= pos:
+            _, kind, payload, event_time = events[e_idx]
+            items.append(("R" if kind == 0 else "C", payload, event_time))
+            e_idx += 1
+        rsrp, serving, neighbours, scoped = plan.step_inputs[pos]
+        feedback = (False, 0.0, 0.0, 0)
+        if rng is not None:
+            feedback = (
+                True,
+                float(rng.uniform(2.0, 50.0)),
+                float(rng.uniform(0.0, 30.0)),
+                int(rng.integers(0, len(DEFAULT_LEVELS_MBPS))),
+            )
+        tick = (float(plan.step_times[pos]), rsrp, serving, neighbours, scoped)
+        items.append(("T", tick + feedback))
+    return items
+
+
+def _queue(server, state, items):
+    """What the reader does per frame, minus the socket."""
+    for item in items:
+        state.inbox.append(item)
+        if item[0] == "T":
+            state.ticks_in += 1
+            state.pending += 1
+            if state.pending == 1:
+                server._collector.put(state)
+
+
+def _register(server, sid, **abr):
+    session = ServingSession(sid, EVENT_CONFIGS, **abr)
+    state = SessionState(sid, session, token=sid, replay_limit=1024)
+    server._sessions[sid] = state
+    return state
+
+
+async def _until(predicate, timeout_s=60.0):
+    deadline = asyncio.get_running_loop().time() + timeout_s
+    while not predicate():
+        assert asyncio.get_running_loop().time() < deadline
+        await asyncio.sleep(0.01)
+
+
+def test_backlog_passes_take_ticks_enqueued_meanwhile(serve_logs):
+    """A session's queued backlog is served in one engine pass. Session
+    A's 120 ticks are queued at once and take one pass; its first
+    prediction queues session B's 120 ticks with ``call_soon``, which
+    take the next. Both streams must still be the offline replay's."""
+    log = serve_logs[0]
     n = 120
     offline = run_prognos_over_logs([log], EVENT_CONFIGS)
     expected = [(float(t), p) for t, p in zip(offline.times_s, offline.predictions)][:n]
+    items = _inbox_items(log, n)
 
     async def main():
         async with PrognosServer(ServerConfig(batched=True)) as server:
-            states = {
-                sid: SessionState(sid, ServingSession(sid, EVENT_CONFIGS), token=sid)
-                for sid in ("a", "b")
-            }
+            states = {sid: _register(server, sid) for sid in ("a", "b")}
             streams = {sid: [] for sid in states}
-
-            def enqueue(state):
-                # What the reader does per frame, minus the socket.
-                events, e_idx = plan.events, 0
-                for pos in range(n):
-                    while e_idx < len(events) and events[e_idx][0] <= pos:
-                        _, kind, payload, event_time = events[e_idx]
-                        state.inbox.append(("R" if kind == 0 else "C", payload, event_time))
-                        e_idx += 1
-                    rsrp, serving, neighbours, scoped = plan.step_inputs[pos]
-                    tick = (plan.step_times[pos], rsrp, serving, neighbours, scoped)
-                    state.inbox.append(("T", tick + (False, 0.0, 0.0, 0)))
-                    state.pending += 1
-                    server._collector.put(state)
-
             deliver = server._deliver_prediction
 
             def spy(state, time_s, prediction, level):
                 stream = streams[state.session_id]
                 stream.append((float(time_s), prediction.ho_type))
                 if state.session_id == "a" and len(stream) == 1:
-                    asyncio.get_running_loop().call_soon(enqueue, states["b"])
+                    asyncio.get_running_loop().call_soon(
+                        _queue, server, states["b"], items
+                    )
                 deliver(state, time_s, prediction, level)
 
             server._deliver_prediction = spy
-            enqueue(states["a"])
-            deadline = asyncio.get_running_loop().time() + 60.0
-            while len(streams["b"]) < n:
-                assert asyncio.get_running_loop().time() < deadline
-                await asyncio.sleep(0.01)
+            _queue(server, states["a"], items)
+            await _until(lambda: len(streams["b"]) == n)
             stats = server.stats()
             assert stats["batch_ticks"] == 2 * n
-            assert stats["batch_ticks"] / stats["batches"] >= 1.8
+            assert stats["batches"] == 2
             assert streams["a"] == expected
             assert streams["b"] == expected
 
     asyncio.run(main())
 
+
+def test_pass_order_matches_sequential_pipeline(serve_logs):
+    """Pin the frame order inside multi-tick passes. One session's whole
+    stream is queued at once: drive A, ``S``, drive A again cut right
+    after its first measurement report (the phase still open), ``S``,
+    drive B, every tick wanting ABR with per-tick feedback. The served
+    stream, ABR levels included, must equal the sequential pipeline's.
+
+    Two wrong passes fail here: MPC rows that read the robustMPC
+    discount when the pass scores them (a later tick of the session has
+    fed the error window by then) change early ABR levels, and an ``S``
+    applied ahead of ticks already taken leaks the open phase's report
+    into drive B's first prediction."""
+    drive_a, drive_b = serve_logs
+    rng = np.random.default_rng(2)
+    a_again = _inbox_items(drive_a, 11, rng)
+    # The cut leaves the report in, its handover command out.
+    assert [item[0] for item in a_again[-3:]] == ["T", "R", "T"]
+    items = (
+        _inbox_items(drive_a, 200, rng)
+        + [("S",)]
+        + a_again
+        + [("S",)]
+        + _inbox_items(drive_b, 200, rng)
+    )
+
+    reference = ServingSession("ref", EVENT_CONFIGS, batched=False)
+    algo, rate, last_predicted = RobustMpc(), HarmonicMeanPredictor(), None
+    expected = []
+    for item in items:
+        if item[0] != "T":
+            _apply_frame(reference, item)
+            continue
+        t, rsrp, serving, neighbours, scoped, _abr, observed, buffer_s, last = item[1]
+        p = reference.step_sequential(t, rsrp, serving, neighbours, scoped)
+        # §7.4's player loop: error feedback, rate observation, select.
+        if last_predicted is not None:
+            algo.observe_error(last_predicted, observed)
+        rate.observe(observed)
+        last_predicted = rate.predict_mbps()
+        level = algo.select(
+            DEFAULT_LEVELS_MBPS, buffer_s, last, last_predicted, DEFAULT_CHUNK_S
+        )
+        expected.append((t, p.ho_type, p.ho_score, p.similarity, p.lead_time_s, level))
+
+    async def main():
+        async with PrognosServer(ServerConfig(batched=True)) as server:
+            state = _register(
+                server,
+                "pin",
+                levels_mbps=DEFAULT_LEVELS_MBPS,
+                chunk_s=DEFAULT_CHUNK_S,
+            )
+            _queue(server, state, items)
+            await _until(lambda: state.pending == 0)
+            return list(state.journal), server.batches
+
+    journal, batches = asyncio.run(main())
+    served = [
+        protocol.decode_prediction(payload)
+        for payload in FrameDecoder().feed(b"".join(journal))
+    ]
+    assert [p[:6] for p in served] == expected
+    assert [p[7] for p in served] == list(range(1, len(expected) + 1))
+    assert batches == 3  # each S behind taken ticks ended a pass
+
+
+def test_engine_crash_mid_pass_loses_the_taken_backlog(monkeypatch, serve_logs):
+    """A crash inside a pass loses every tick the pass had taken — a
+    session's whole queued backlog — counted in ``lost``; the restarted
+    engine answers the ticks queued after it."""
+    calls = []
+    forecast = server_module.forecast_batch
+
+    def fails_once(jobs):
+        calls.append(len(jobs))
+        if len(calls) == 1:
+            raise RuntimeError("injected forecast fault")
+        return forecast(jobs)
+
+    monkeypatch.setattr(server_module, "forecast_batch", fails_once)
+    items = _inbox_items(serve_logs[0], 16)
+    first = [i for i, item in enumerate(items) if item[0] == "T"][8]
+
+    async def main():
+        async with PrognosServer(ServerConfig(batched=True)) as server:
+            state = _register(server, "crashy")
+            _queue(server, state, items[:first])
+            await _until(lambda: server.engine_restarts == 1)
+            assert state.lost == 8 and state.pending == 0
+            _queue(server, state, items[first:])
+            await _until(lambda: state.pending == 0)
+            stats = server.stats()
+            assert stats["engine_restarts"] == 1 and not stats["degraded"]
+            assert stats["lost"] == 8
+            assert state.session.ticks == 8
+            assert state.session.ticks + state.lost == state.ticks_in == 16
+            assert state.out_seq == 8
+
+    asyncio.run(main())
+    assert calls == [8, 8]
